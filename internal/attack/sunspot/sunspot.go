@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privmem/internal/stats"
@@ -142,14 +143,14 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	for i, a := range anchors {
 		obs[i] = a.sunsetMin - a.sunriseMin
 	}
-	score := func(lat, tilt float64) (float64, bool) {
+	score := func(lat float64, tilt int) (float64, bool) {
 		resid := make([]float64, 0, len(anchors))
 		for i, a := range anchors {
-			mLen, ok := modelWindowLen(a.date, lat, tilt, cfg.Threshold)
-			if !ok {
+			w := modelWindows(a.date, lat, cfg.Threshold)[tilt]
+			if !w.ok {
 				continue
 			}
-			resid = append(resid, obs[i]-mLen)
+			resid = append(resid, obs[i]-w.minutes)
 		}
 		if len(resid) < cfg.MinDays {
 			return 0, false
@@ -164,10 +165,9 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	}
 	// The seasonal trend identifies latitude; the unknown tilt bends the
 	// trend too, so fit it jointly from a small candidate set.
-	tilts := []float64{18, 25, 32}
-	bestLat, bestTilt, bestS := 0.0, modelTiltDeg, math.Inf(1)
+	bestLat, bestTilt, bestS := 0.0, 0, math.Inf(1)
 	const lo, hi, coarse = -60.0, 60.0, 2.0
-	for _, tilt := range tilts {
+	for tilt := range modelTiltsDeg {
 		for lat := lo; lat <= hi; lat += coarse {
 			if s, ok := score(lat, tilt); ok && s < bestS {
 				bestLat, bestTilt, bestS = lat, tilt, s
@@ -196,85 +196,105 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 }
 
 // Assumed reference panel for the attacker's forward model: SunSpot does not
-// know a site's true geometry, so it models the typical south-facing rooftop.
+// know a site's true geometry, so it models a south-facing rooftop and fits
+// the tilt from a small candidate set.
 const (
-	modelTiltDeg    = 25.0
 	modelAzimuthDeg = 180.0
 	modelDiffuse    = 0.16
 )
 
+// modelTiltsDeg are the candidate panel tilts fitLatitude fits jointly
+// with latitude; the forward model evaluates all of them in one pass.
+var modelTiltsDeg = [...]float64{18, 25, 32}
+
 // modelWindowCacheCap bounds the forward-model cache. The attack's working
-// set — fit dates × grid latitudes × candidate tilts — is a few hundred
-// thousand evaluations but only tens of thousands of distinct keys, far
-// below the cap; clearing on overflow only fires under adversarial key
-// churn and costs one recomputation pass. A variable (not a const) so the
-// eviction test can shrink it without doing 2^17 real model evaluations.
+// set — fit dates × probed latitudes — is a few hundred thousand lookups
+// but only thousands of distinct keys, far below the cap; clearing on
+// overflow only fires under adversarial key churn and costs one
+// recomputation pass. A variable (not a const) so the eviction test can
+// shrink it without doing 2^17 real model evaluations.
 var modelWindowCacheCap = 1 << 17
 
 // windowKey identifies one forward-model evaluation. The date is reduced to
-// its UTC day, matching modelWindowLen's own truncation.
+// its UTC day, matching modelWindows' own truncation.
 type windowKey struct {
-	day            int64
-	lat, tilt, thr float64
+	day      int64
+	lat, thr float64
 }
 
+// windowVal is one tilt's modeled production window.
 type windowVal struct {
 	minutes float64
 	ok      bool
 }
 
-// modelWindowCache memoizes modelWindowLen across sites and runs. The
-// function is pure, so a racing duplicate compute stores the identical
-// value; a read lock keeps the hot hit path concurrent.
-var modelWindowCache = struct {
-	sync.RWMutex
-	m map[windowKey]windowVal
-}{m: make(map[windowKey]windowVal)}
+// windowEntry is one key's cached windows, computed exactly once.
+type windowEntry struct {
+	once sync.Once
+	v    [len(modelTiltsDeg)]windowVal
+}
 
-// resetModelWindowCache empties the cache (tests).
+// modelWindowCache memoizes computeModelWindows across sites and runs. The
+// mutex guards only the map; each entry's Once makes concurrent callers of
+// one key share a single compute, so every key is evaluated once.
+var modelWindowCache = struct {
+	sync.Mutex
+	m map[windowKey]*windowEntry
+}{m: make(map[windowKey]*windowEntry)}
+
+// modelWindowComputes counts forward-model evaluations (tests).
+var modelWindowComputes atomic.Int64
+
+// resetModelWindowCache empties the cache and zeroes the compute count
+// (tests).
 func resetModelWindowCache() {
 	modelWindowCache.Lock()
-	modelWindowCache.m = make(map[windowKey]windowVal)
+	modelWindowCache.m = make(map[windowKey]*windowEntry)
 	modelWindowCache.Unlock()
+	modelWindowComputes.Store(0)
 }
 
 // modelWindowCacheLen reports the cache's current entry count (tests).
 func modelWindowCacheLen() int {
-	modelWindowCache.RLock()
-	defer modelWindowCache.RUnlock()
+	modelWindowCache.Lock()
+	defer modelWindowCache.Unlock()
 	return len(modelWindowCache.m)
 }
 
-// modelWindowLen returns the modeled production-window length (minutes) for
-// a clear-sky, south-facing reference panel at the given latitude and date,
-// using the same fractional threshold as the attack. ok is false on polar
-// days. Results are memoized: the latitude search re-evaluates the same
-// (day, grid-latitude, tilt) triples for every site, and repeated runs over
-// the same season hit a warm cache.
+// modelWindows returns the modeled production windows of a clear-sky,
+// south-facing reference panel at the given latitude and date, one per
+// candidate tilt in modelTiltsDeg, using the same fractional threshold as
+// the attack. A window's ok is false on polar days. Results are memoized:
+// the latitude search re-evaluates the same (day, grid-latitude) pairs for
+// every site, and repeated runs over the same season hit a warm cache.
 //
-//lint:trust modelWindowLen RWMutex-guarded pure-function memo: the cached value is a deterministic function of the key, so hit/miss order cannot change any result
-func modelWindowLen(date time.Time, lat, tilt, thresholdFrac float64) (minutes float64, ok bool) {
+//lint:trust modelWindows mutex-guarded once-per-key pure-function memo: the cached value is a deterministic function of the key, so hit/miss order cannot change any result
+func modelWindows(date time.Time, lat, thresholdFrac float64) [len(modelTiltsDeg)]windowVal {
 	day := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
-	k := windowKey{day: day.Unix(), lat: lat, tilt: tilt, thr: thresholdFrac}
-	modelWindowCache.RLock()
-	v, hit := modelWindowCache.m[k]
-	modelWindowCache.RUnlock()
-	if hit {
-		return v.minutes, v.ok
-	}
-	minutes, ok = computeModelWindowLen(day, lat, tilt, thresholdFrac)
+	k := windowKey{day: day.Unix(), lat: lat, thr: thresholdFrac}
 	modelWindowCache.Lock()
-	if len(modelWindowCache.m) >= modelWindowCacheCap {
-		modelWindowCache.m = make(map[windowKey]windowVal)
+	e := modelWindowCache.m[k]
+	if e == nil {
+		if len(modelWindowCache.m) >= modelWindowCacheCap {
+			modelWindowCache.m = make(map[windowKey]*windowEntry)
+		}
+		e = new(windowEntry)
+		modelWindowCache.m[k] = e
 	}
-	modelWindowCache.m[k] = windowVal{minutes: minutes, ok: ok}
 	modelWindowCache.Unlock()
-	return minutes, ok
+	e.once.Do(func() {
+		modelWindowComputes.Add(1)
+		e.v = computeModelWindows(day, lat, thresholdFrac)
+	})
+	return e.v
 }
 
 // modelStepMin is the forward model's evaluation cadence in minutes; the
 // per-day ephemeris cache below is laid out at the same cadence.
 const modelStepMin = 3
+
+// modelSteps is the number of forward-model instants per day.
+const modelSteps = 24 * 60 / modelStepMin
 
 // dayEphCacheCap bounds the per-day ephemeris cache: each entry is one UTC
 // day's 480 precomputed (equation-of-time, declination) pairs (~8 kB). A
@@ -292,11 +312,10 @@ type dayStep struct {
 }
 
 // dayEphCache memoizes the location-independent solar terms per UTC day.
-// The latitude fit evaluates the same dates for every (grid latitude, tilt)
-// combination — 183 combinations per site — so hoisting the trigonometry
-// that does not depend on the candidate latitude pays for itself on the
-// first grid row. sun.EphemerisAt is pure, so a racing duplicate compute
-// stores the identical value.
+// The latitude fit evaluates the same dates for every probed latitude, so
+// hoisting the trigonometry that does not depend on the candidate latitude
+// pays for itself on the first grid row. sun.EphemerisAt is pure, so a
+// racing duplicate compute stores the identical value.
 var dayEphCache = struct {
 	sync.RWMutex
 	m map[int64][]dayStep
@@ -312,8 +331,7 @@ func dayEphemeris(day time.Time) []dayStep {
 	if hit {
 		return eph
 	}
-	n := 24 * 60 / modelStepMin
-	eph = make([]dayStep, n)
+	eph = make([]dayStep, modelSteps)
 	for i := range eph {
 		t := day.Add(time.Duration(i*modelStepMin) * time.Minute)
 		te := sun.EphemerisAt(t).Trig()
@@ -328,21 +346,36 @@ func dayEphemeris(day time.Time) []dayStep {
 	return eph
 }
 
-// computeModelWindowLen is the uncached forward model; day must already be
-// truncated to UTC midnight.
-func computeModelWindowLen(day time.Time, lat, tilt, thresholdFrac float64) (minutes float64, ok bool) {
-	const stepMin = modelStepMin
-	n := 24 * 60 / stepMin
+// computeModelWindows is the uncached forward model for every candidate
+// tilt; day must already be truncated to UTC midnight. Each instant's
+// tilt-independent sky terms are computed once and finished per tilt;
+// sun.PlateSite.FromSky over a shared Sky is bit-identical to
+// sun.PlateOutputEph at each tilt.
+func computeModelWindows(day time.Time, lat, thresholdFrac float64) (out [len(modelTiltsDeg)]windowVal) {
 	eph := dayEphemeris(day)
-	// Hoist the per-call site trigonometry; OutputTrigHA over the cached
-	// day table is bit-identical to sun.PlateOutputEph (see sun.PlateSite).
-	ps := sun.NewPlateSite(lat, 0, tilt, modelAzimuthDeg, modelDiffuse)
-	gen := make([]float64, n)
-	peak := 0.0
-	for i := 0; i < n; i++ {
-		gen[i] = ps.OutputTrigHA(eph[i].eph, eph[i].ha)
-		peak = math.Max(peak, gen[i])
+	var sites [len(modelTiltsDeg)]sun.PlateSite
+	for j, tilt := range modelTiltsDeg {
+		sites[j] = sun.NewPlateSite(lat, 0, tilt, modelAzimuthDeg, modelDiffuse)
 	}
+	var gen [len(modelTiltsDeg)][modelSteps]float64
+	var peak [len(modelTiltsDeg)]float64
+	for i := range eph {
+		sky := sites[0].Sky(eph[i].eph, eph[i].ha)
+		for j := range sites {
+			gen[j][i] = sites[j].FromSky(sky)
+			peak[j] = math.Max(peak[j], gen[j][i])
+		}
+	}
+	for j := range out {
+		out[j].minutes, out[j].ok = windowLen(&gen[j], peak[j], thresholdFrac)
+	}
+	return out
+}
+
+// windowLen is the length in minutes of the span where gen exceeds
+// thresholdFrac of its peak; ok is false when there is no such span or it
+// runs edge to edge (a polar day at lon=0).
+func windowLen(gen *[modelSteps]float64, peak, thresholdFrac float64) (minutes float64, ok bool) {
 	if peak <= 0 {
 		return 0, false
 	}
@@ -359,11 +392,10 @@ func computeModelWindowLen(day time.Time, lat, tilt, thresholdFrac float64) (min
 	if first < 0 || last <= first {
 		return 0, false
 	}
-	// Polar day at lon=0: window runs edge to edge.
-	if first == 0 && last == n-1 {
+	if first == 0 && last == modelSteps-1 {
 		return 0, false
 	}
-	return float64(last-first) * stepMin, true
+	return float64(last-first) * modelStepMin, true
 }
 
 // extractAnchors pulls per-solar-day production start/stop times from the

@@ -81,6 +81,10 @@ func Generate(site Site, field *weather.Field, start time.Time, days int, step t
 	// sun.PlateOutput — see sun.PlateSite).
 	const diffuseFrac = 0.16
 	ps := sun.NewPlateSite(site.Lat, site.Lon, site.TiltDeg, site.AzimuthDeg, diffuseFrac)
+	var point weather.Point
+	if field != nil {
+		point = field.Point(site.Lat, site.Lon)
+	}
 	for i := 0; i < n; i++ {
 		t := out.TimeAt(i)
 		poa := ps.OutputTrig(t, sun.EphemerisAt(t).Trig())
@@ -89,8 +93,7 @@ func Generate(site Site, field *weather.Field, start time.Time, days int, step t
 		}
 		p := site.CapacityW / 1000 * poa
 		if field != nil {
-			cloud := field.CloudAt(site.Lat, site.Lon, t)
-			p *= 1 - 0.78*cloud
+			p *= 1 - 0.78*point.Cloud(t)
 		}
 		if site.NoiseStd > 0 {
 			p *= 1 + site.NoiseStd*rng.NormFloat64()

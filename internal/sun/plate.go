@@ -88,6 +88,28 @@ func (s *PlateSite) OutputTrig(t time.Time, te TrigEphemeris) float64 {
 // OutputTrigHA is OutputTrig with the hour-angle terms precomputed as well;
 // h must come from HourAngleAt at this site's longitude.
 func (s *PlateSite) OutputTrigHA(te TrigEphemeris, h HourAngle) float64 {
+	return s.FromSky(s.Sky(te, h))
+}
+
+// Sky holds one instant's flat-plate terms that do not depend on the panel
+// tilt: the sun's position, the clear-sky irradiance split, and the
+// sun-to-panel azimuth term. A Sky computed by one PlateSite serves every
+// site that differs from it only in tilt.
+type Sky struct {
+	// lit is false when the sun is below the horizon or the clear-sky
+	// irradiance is not positive; the output is then 0 at any tilt.
+	lit bool
+	// czd and szd are the cosine and sine of the zenith angle,
+	// cosZenClamped is the beam denominator, and cosAzRel is the cosine of
+	// the sun's azimuth relative to the panel's.
+	czd, cosZenClamped, szd, cosAzRel float64
+	// dhi is the diffuse and beamH the horizontal beam irradiance.
+	dhi, beamH float64
+}
+
+// Sky computes the instant's tilt-independent terms; h must come from
+// HourAngleAt at this site's longitude. It reads no tilt term of s.
+func (s *PlateSite) Sky(te TrigEphemeris, h HourAngle) Sky {
 	// PositionEph body, with Sin/Cos of declination and latitude hoisted.
 	haDeg := h.HaDeg
 
@@ -102,7 +124,7 @@ func (s *PlateSite) OutputTrigHA(te TrigEphemeris, h HourAngle) float64 {
 	// result. Below the horizon is half of all samples, so this skips
 	// Sin+Acos for the bulk of a day sweep.
 	if zen >= 90 {
-		return 0
+		return Sky{}
 	}
 
 	sinZen := math.Sin(zenRad)
@@ -119,14 +141,27 @@ func (s *PlateSite) OutputTrigHA(te TrigEphemeris, h HourAngle) float64 {
 	airMass := 1 / (czd + 0.50572*math.Pow(96.07995-zen, -1.6364))
 	ghi := 1353 * math.Pow(0.7, math.Pow(airMass, 0.678)) * czd
 	if ghi <= 0 {
-		return 0
+		return Sky{}
 	}
 	dhi := s.DiffuseFrac * ghi
-	beamH := ghi - dhi
-	cosZenClamped := math.Max(0.03, czd)
-	cosInc := czd*s.cosTilt +
-		math.Sin(zen*degToRad)*s.sinTilt*
-			math.Cos((az-s.AzimuthDeg)*degToRad)
-	beamFactor := math.Min(3, math.Max(0, cosInc)/cosZenClamped)
-	return dhi*s.skyView + beamH*beamFactor
+	return Sky{
+		lit:           true,
+		czd:           czd,
+		cosZenClamped: math.Max(0.03, czd),
+		szd:           math.Sin(zen * degToRad),
+		cosAzRel:      math.Cos((az - s.AzimuthDeg) * degToRad),
+		dhi:           dhi,
+		beamH:         ghi - dhi,
+	}
+}
+
+// FromSky finishes the plate output at this site's tilt from an instant's
+// Sky. The grouping of every product matches PlateOutputEph.
+func (s *PlateSite) FromSky(k Sky) float64 {
+	if !k.lit {
+		return 0
+	}
+	cosInc := k.czd*s.cosTilt + k.szd*s.sinTilt*k.cosAzRel
+	beamFactor := math.Min(3, math.Max(0, cosInc)/k.cosZenClamped)
+	return k.dhi*s.skyView + k.beamH*beamFactor
 }

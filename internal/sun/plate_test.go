@@ -9,7 +9,8 @@ import (
 // TestOutputTrigMatchesPlateOutputEph is the hoisting law: the
 // trig-precomputed kernel must be bit-identical to the PlateOutputEph
 // chain for every instant and geometry, including the night and
-// below-horizon zero cases.
+// below-horizon zero cases, and one Sky reused across several tilts must
+// give each tilt's own OutputTrigHA bits.
 func TestOutputTrigMatchesPlateOutputEph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -28,6 +29,16 @@ func TestOutputTrigMatchesPlateOutputEph(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d (t=%v lat=%v lon=%v tilt=%v az=%v d=%v): OutputTrig=%v, PlateOutputEph=%v",
 				trial, at, lat, lon, tilt, az, diffuse, got, want)
+		}
+
+		te, h := eph.Trig(), HourAngleAt(at, eph.Trig(), lon)
+		sky := ps.Sky(te, h)
+		for _, other := range []float64{0, 18, 25, 32, 60 * rng.Float64()} {
+			site := NewPlateSite(lat, lon, other, az, diffuse)
+			if got, want := site.FromSky(sky), site.OutputTrigHA(te, h); got != want {
+				t.Fatalf("trial %d (t=%v lat=%v tilt %v -> %v): shared Sky gives %v, OutputTrigHA %v",
+					trial, at, lat, tilt, other, got, want)
+			}
 		}
 	}
 }

@@ -162,34 +162,68 @@ func (f *Field) Steps() int { return f.steps }
 // TimeStep returns the field's temporal resolution.
 func (f *Field) TimeStep() time.Duration { return f.cfg.TimeStep }
 
-// CloudAt returns cloud cover in [0,1] at a location and instant. Instants
-// outside the realized span clamp to the nearest step.
-func (f *Field) CloudAt(latDeg, lonDeg float64, t time.Time) float64 {
-	step := int(t.Sub(f.start) / f.cfg.TimeStep)
-	if step < 0 {
-		step = 0
-	}
-	if step >= f.steps {
-		step = f.steps - 1
-	}
+// Point is the field bound to one location. The spatial phase of every
+// mode depends only on the location, so it is computed once here and each
+// instant costs one weighted sum over the modes.
+type Point struct {
+	f *Field
+	// modes[k] is mode k's spatial term at the location.
+	modes []float64
+}
+
+// Point binds the field to a location for repeated sampling.
+func (f *Field) Point(latDeg, lonDeg float64) Point {
 	// Local equirectangular projection to km.
 	y := latDeg * 111.2
 	x := lonDeg * 111.2 * math.Cos(f.refLat*math.Pi/180)
-	var v float64
-	for k := 0; k < f.cfg.Modes; k++ {
-		v += f.amp[step][k] * math.Cos(f.freqX[k]*x+f.freqY[k]*y+f.phase[k])
+	modes := make([]float64, f.cfg.Modes)
+	for k := range modes {
+		modes[k] = math.Cos(f.freqX[k]*x + f.freqY[k]*y + f.phase[k])
 	}
-	v /= math.Sqrt(float64(f.cfg.Modes) / 2)
+	return Point{f: f, modes: modes}
+}
+
+// Cloud returns cloud cover in [0,1] at the point's location and instant t.
+// Instants outside the realized span clamp to the nearest step.
+func (p Point) Cloud(t time.Time) float64 {
+	step := int(t.Sub(p.f.start) / p.f.cfg.TimeStep)
+	if step < 0 {
+		step = 0
+	}
+	if step >= p.f.steps {
+		step = p.f.steps - 1
+	}
+	return p.cloudStep(step)
+}
+
+// cloudStep returns cloud cover at the point for an in-range step index.
+// CloudSeries indexes steps directly: the time arithmetic Cloud does
+// would cost as much as the sum itself.
+func (p Point) cloudStep(step int) float64 {
+	amp := p.f.amp[step]
+	var v float64
+	for k, m := range p.modes {
+		v += amp[k] * m
+	}
+	v /= math.Sqrt(float64(len(p.modes)) / 2)
 	// Squash the ~N(0,1) value into [0,1] around the configured mean.
-	cloud := f.cfg.MeanCloud + 0.35*v
+	cloud := p.f.cfg.MeanCloud + 0.35*v
 	return math.Max(0, math.Min(1, cloud))
+}
+
+// CloudAt returns cloud cover in [0,1] at a location and instant. Instants
+// outside the realized span clamp to the nearest step. Callers sampling one
+// location repeatedly should bind it once with Point.
+func (f *Field) CloudAt(latDeg, lonDeg float64, t time.Time) float64 {
+	return f.Point(latDeg, lonDeg).Cloud(t)
 }
 
 // CloudSeries samples the field at one location over its whole span.
 func (f *Field) CloudSeries(latDeg, lonDeg float64) *timeseries.Series {
 	out := timeseries.MustNew(f.start, f.cfg.TimeStep, f.steps)
+	p := f.Point(latDeg, lonDeg)
 	for i := range out.Values {
-		out.Values[i] = f.CloudAt(latDeg, lonDeg, out.TimeAt(i))
+		out.Values[i] = p.cloudStep(i)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package weather
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -102,6 +103,52 @@ func TestCloudAtClampsOutOfRange(t *testing.T) {
 	last := f.CloudAt(42, -72, fieldStart.Add(47*time.Hour))
 	if after != last {
 		t.Errorf("post-span cloud %v != last step %v", after, last)
+	}
+}
+
+// cloudAtReference is the per-instant cloud formula that recomputes every
+// mode's spatial cosine at each instant. Point, CloudAt and CloudSeries
+// must match it bit for bit.
+func cloudAtReference(f *Field, latDeg, lonDeg float64, t time.Time) float64 {
+	step := int(t.Sub(f.start) / f.cfg.TimeStep)
+	if step < 0 {
+		step = 0
+	}
+	if step >= f.steps {
+		step = f.steps - 1
+	}
+	y := latDeg * 111.2
+	x := lonDeg * 111.2 * math.Cos(f.refLat*math.Pi/180)
+	var v float64
+	for k := 0; k < f.cfg.Modes; k++ {
+		v += f.amp[step][k] * math.Cos(f.freqX[k]*x+f.freqY[k]*y+f.phase[k])
+	}
+	v /= math.Sqrt(float64(f.cfg.Modes) / 2)
+	cloud := f.cfg.MeanCloud + 0.35*v
+	return math.Max(0, math.Min(1, cloud))
+}
+
+func TestPointMatchesReference(t *testing.T) {
+	f := testField(t, 11, 72)
+	for _, loc := range [][2]float64{{42, -72}, {35, -89}, {47.3, -71.25}, {-10, 150}} {
+		lat, lon := loc[0], loc[1]
+		series := f.CloudSeries(lat, lon)
+		p := f.Point(lat, lon)
+		for i, got := range series.Values {
+			at := series.TimeAt(i)
+			if want := cloudAtReference(f, lat, lon, at); got != want {
+				t.Fatalf("(%v,%v) step %d: CloudSeries %v, reference %v", lat, lon, i, got, want)
+			}
+			mid := at.Add(37 * time.Minute)
+			if got, want := p.Cloud(mid), cloudAtReference(f, lat, lon, mid); got != want {
+				t.Fatalf("(%v,%v) %v: Point.Cloud %v, reference %v", lat, lon, mid, got, want)
+			}
+		}
+		for _, at := range []time.Time{fieldStart.Add(-time.Hour), fieldStart.Add(1000 * time.Hour)} {
+			if got, want := f.CloudAt(lat, lon, at), cloudAtReference(f, lat, lon, at); got != want {
+				t.Fatalf("(%v,%v) %v: CloudAt %v, reference %v", lat, lon, at, got, want)
+			}
+		}
 	}
 }
 
