@@ -1,15 +1,16 @@
 # PR gate and developer shortcuts. `make check` is what every PR must pass:
-# vet, the privmemvet analyzer suite (lint), build, the full test suite
-# under the race detector (the RunAll and serve concurrency tests only
-# count as coverage when raced), the per-package coverage floors, a fuzz
-# smoke over both untrusted decoders, and the memoird smoke test (random
-# port, /healthz + report probes, cache-hit verification, clean shutdown).
+# vet (of the main module and of the perfbench harness module), the
+# privmemvet analyzer suite (lint), build, the full test suite under the race
+# detector (the RunAll and serve concurrency tests only count as coverage
+# when raced), the per-package coverage floors, a fuzz smoke over both
+# untrusted decoders, and the memoird smoke test (random port, /healthz +
+# report probes, cache-hit verification, clean shutdown).
 
 GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 70
-COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis
+COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics
 
 # Second coverage tier: the daemon/load-generator mains are signal/listen
 # plumbing that only an end-to-end run exercises, so they carry a lower
@@ -22,12 +23,18 @@ COVER_PKGS_CMD ?= ./cmd/memoird ./cmd/memoirload
 # longer local hunt, e.g. `make fuzz FUZZTIME=10m`.
 FUZZTIME ?= 30s
 
-.PHONY: check vet lint lint-diff lint-stats build test race short cover cover-cmd fuzz bench bench-serve bench-experiments bench-armsrace bench-fleet bench-diff bench-all bench-load figures smoke smoke-load smoke-fleet memoird
+.PHONY: check vet perfbench-vet lint lint-diff lint-stats build test race short cover cover-cmd fuzz bench bench-serve bench-experiments bench-armsrace bench-fleet bench-diff bench-all bench-load figures smoke smoke-load smoke-fleet memoird
 
-check: vet lint lint-diff build race cover fuzz smoke smoke-load smoke-fleet bench-diff
+check: vet perfbench-vet lint lint-diff build race cover fuzz smoke smoke-load smoke-fleet bench-diff
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet type-checks the benchmark harness, a separate module that
+# `go build ./...` never compiles: an exported-API change in the main module
+# that breaks the harness fails here instead of at benchmark time.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # The analyzer binary is built once and reused: `go run` re-links on every
 # invocation, which dominated lint wall-time. The target rebuilds only when

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"privmem/internal/experiments"
+	"privmem/internal/metrics"
 	"privmem/internal/serve"
 )
 
@@ -170,8 +171,8 @@ func warmPaths(ids []string, seeds int, quick bool) []string {
 // fire executes the plan: each arrival launches at its scheduled offset
 // regardless of how many earlier requests are still in flight, and every
 // completed request records its latency in the shared histogram.
-func fire(client *http.Client, base string, targets []target) (*serve.Histogram, int64) {
-	var hist serve.Histogram
+func fire(client *http.Client, base string, targets []target) (*metrics.Histogram, int64) {
+	var hist metrics.Histogram
 	var errCount atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()

@@ -3,8 +3,8 @@
 // package-level state, or used again after being Put back. The pool is free
 // to hand a Put value to another goroutine immediately, so every one of
 // these is a latent data race — and in this repo's scratch-arena usage
-// (decode beams, fleet merge buffers) the symptom is silent corruption of a
-// neighboring experiment's floats rather than a crash.
+// (decode scratch rows, fleet merge buffers) the symptom is silent
+// corruption of a neighboring experiment's floats rather than a crash.
 //
 // The analysis is intraprocedural and tracks variables bound directly to a
 // `pool.Get()` result (with or without a type assertion). Escapes through

@@ -210,7 +210,7 @@ func newRunner(spec Spec) (*runner, error) {
 		}
 		r.decoders[ai] = make([]*hmm.StreamDecoder, spec.Variants)
 		for v := range r.decoders[ai] {
-			d, err := f.NewStreamDecoderBeam(r.k, spec.Beam)
+			d, err := f.NewStreamDecoder(r.k)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %w", err)
 			}

@@ -25,8 +25,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"privmem/internal/hmm"
 )
 
 // ErrBadSpec indicates an invalid fleet specification.
@@ -62,7 +60,8 @@ type Spec struct {
 	Workers int
 	// Days is the simulated horizon.
 	Days int
-	// Seed drives every random stream via sub-seeding.
+	// Seed drives every random stream via sub-seeding. Zero is a seed like
+	// any other; DefaultSpec and ParseSpec start from 42.
 	Seed int64
 	// Step is the meter reporting interval (default 15m; must divide 1h).
 	Step time.Duration
@@ -80,11 +79,6 @@ type Spec struct {
 	Buffer int
 	// Mix is the archetype mix; empty means an equal mix of all builtins.
 	Mix []Share
-	// Beam configures the incremental FHMM decoders. The zero value is the
-	// exact mode — bit-identical to plain streaming decode at any width, so
-	// the fleet determinism and online-equivalence laws are unaffected;
-	// Approx/Float32 opt into the documented-approximate decode.
-	Beam hmm.Beam
 
 	// testHookChunk, when set, observes every chunk the generator finishes
 	// (before it is handed to workers). Tests use it to prove backpressure
@@ -107,7 +101,8 @@ func DefaultSpec() Spec {
 	}
 }
 
-// withDefaults fills zero fields from DefaultSpec.
+// withDefaults fills zero fields from DefaultSpec. Seed is not among them:
+// zero is a valid seed.
 func (s Spec) withDefaults() Spec {
 	d := DefaultSpec()
 	if s.Homes == 0 {
@@ -118,9 +113,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Days == 0 {
 		s.Days = d.Days
-	}
-	if s.Seed == 0 {
-		s.Seed = d.Seed
 	}
 	if s.Step == 0 {
 		s.Step = d.Step
@@ -166,9 +158,6 @@ func (s Spec) Validate() error {
 	case len(s.Mix) > MaxMixParts:
 		return fmt.Errorf("%w: %d mix parts (max %d)", ErrBadSpec, len(s.Mix), MaxMixParts)
 	}
-	if err := s.Beam.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
 	seen := map[string]bool{}
 	for _, m := range s.Mix {
 		if _, ok := archetypeByName(m.Archetype); !ok {
@@ -191,10 +180,7 @@ func (s Spec) Validate() error {
 // fields:
 //
 //	homes=1000 workers=4 days=2 seed=7 step=15m window=1h history=8
-//	variants=4 buffer=2 mix=family:0.6,retired:0.4 beam=8 beam_mode=approx
-//
-// beam sets the FHMM decoders' beam width (0/unset keeps the auto width) and
-// beam_mode one of exact (default, bit-identical), approx, or float32.
+//	variants=4 buffer=2 mix=family:0.6,retired:0.4
 //
 // Unset keys take DefaultSpec values. The returned spec is validated.
 func ParseSpec(s string) (Spec, error) {
@@ -229,19 +215,6 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Buffer, err = parseBoundedInt(key, val, MaxBuffer)
 		case "mix":
 			spec.Mix, err = parseMix(val)
-		case "beam":
-			spec.Beam.Width, err = parseBoundedInt(key, val, 1<<16)
-		case "beam_mode":
-			switch val {
-			case "exact":
-				spec.Beam.Approx, spec.Beam.Float32 = false, false
-			case "approx":
-				spec.Beam.Approx, spec.Beam.Float32 = true, false
-			case "float32":
-				spec.Beam.Approx, spec.Beam.Float32 = true, true
-			default:
-				err = fmt.Errorf("%w: beam_mode %q (want exact, approx or float32)", ErrBadSpec, val)
-			}
 		default:
 			err = fmt.Errorf("%w: unknown key %q", ErrBadSpec, key)
 		}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"privmem/internal/hmm"
 )
 
 // TestParseSpecFull parses every key and checks the result field by field.
@@ -21,39 +19,6 @@ func TestParseSpecFull(t *testing.T) {
 	}
 	if len(spec.Mix) != 2 || spec.Mix[0] != (Share{"family", 0.5}) || spec.Mix[1] != (Share{"cottage", 0.5}) {
 		t.Fatalf("parsed mix %+v", spec.Mix)
-	}
-}
-
-// TestParseSpecBeam parses the beam keys: width alone stays exact, and
-// beam_mode selects the documented-approximate decode variants.
-func TestParseSpecBeam(t *testing.T) {
-	spec, err := ParseSpec("beam=8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Beam.Width != 8 || spec.Beam.Approx || spec.Beam.Float32 {
-		t.Fatalf("beam=8 parsed as %+v, want exact width 8", spec.Beam)
-	}
-	spec, err = ParseSpec("beam=4 beam_mode=approx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Beam.Width != 4 || !spec.Beam.Approx || spec.Beam.Float32 {
-		t.Fatalf("beam_mode=approx parsed as %+v", spec.Beam)
-	}
-	spec, err = ParseSpec("beam=4 beam_mode=float32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Beam.Approx || !spec.Beam.Float32 {
-		t.Fatalf("beam_mode=float32 parsed as %+v", spec.Beam)
-	}
-	spec, err = ParseSpec("beam_mode=exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Beam != (hmm.Beam{}) {
-		t.Fatalf("beam_mode=exact parsed as %+v, want zero Beam", spec.Beam)
 	}
 }
 
@@ -100,9 +65,8 @@ func TestParseSpecRejects(t *testing.T) {
 		"bogus=1",
 		"homes",
 		"homes=",
-		"beam=-1",        // negative width
-		"beam=65537",     // over the parse bound
-		"beam_mode=fast", // unknown mode
+		"beam=8",          // removed key
+		"beam_mode=exact", // removed key
 	} {
 		if _, err := ParseSpec(s); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseSpec(%q) = %v, want ErrBadSpec", s, err)

@@ -39,10 +39,6 @@ type Factorial struct {
 	prepOnce sync.Once
 	prep     *factorialPrep
 
-	// prep32Once guards the lazily-built float32 emission tables inside
-	// prep (only Beam decodes with Float32 set need them).
-	prep32Once sync.Once
-
 	// scratch recycles per-Decode working buffers (delta/next rows and the
 	// emission row) across calls and chunks.
 	scratch sync.Pool
@@ -71,20 +67,8 @@ type factorialPrep struct {
 	// per step and thrashes the cache).
 	transT []float64
 
-	// maxTransIn[b] is the largest log transition probability into b from
-	// any predecessor — the bound the beam sweep's exactness certificate is
-	// built on (see Beam).
-	maxTransIn []float64
-
 	// states[j*nc+i] is chain i's state inside joint state j.
 	states []int32
-
-	// Float32 emission tables, built lazily by ensurePrep32 for Beam
-	// decodes with Float32 set: the per-joint-state summed mean, emission
-	// std, and the combined constant log term (log std + 0.5*log(2*pi)).
-	sumMean32 []float32
-	emitStd32 []float32
-	logStdC32 []float32
 }
 
 // NewFactorial validates the chains and returns a Factorial ready to decode.
@@ -175,16 +159,6 @@ func (f *Factorial) buildPrep() *factorialPrep {
 			p.transT[b*nj+a] = lp
 		}
 	}
-	p.maxTransIn = make([]float64, nj)
-	for b := 0; b < nj; b++ {
-		m := math.Inf(-1)
-		for _, v := range p.transT[b*nj : b*nj+nj] {
-			if v > m {
-				m = v
-			}
-		}
-		p.maxTransIn[b] = m
-	}
 	return p
 }
 
@@ -198,15 +172,10 @@ func (p *factorialPrep) emitLog(x float64, j int) float64 {
 }
 
 // decodeScratch holds the per-call working set reused across timesteps and
-// across Decode calls (via the Factorial's pool). The beam fields are only
-// populated by beam decodes and persist in the pool alongside the rows.
+// across Decode calls (via the Factorial's pool).
 type decodeScratch struct {
 	delta []float64
 	next  []float64
-	// beamIdx holds the beam members (ascending joint-state order); selVals
-	// is the quickselect scratch for the per-timestep threshold.
-	beamIdx []int32
-	selVals []float64
 }
 
 // getScratch checks a decodeScratch with rows of at least nj out of the
@@ -224,7 +193,7 @@ func (f *Factorial) getScratch(nj int) *decodeScratch {
 
 // assemblePaths backtracks the flat backpointer lattice from the final
 // delta row's argmax (strictly-greater, lowest index wins) and splits the
-// joint path per chain. Shared by the dense and beam decoders.
+// joint path per chain.
 func assemblePaths(p *factorialPrep, delta []float64, prev []int32, n int) [][]int {
 	nj, nc := p.nj, p.nc
 	best, arg := math.Inf(-1), 0

@@ -114,13 +114,6 @@ type StreamDecoder struct {
 	prev   []int32
 	filled int // observations in the open window
 	seen   bool
-	// Beam state: width 0 means the dense sweep; otherwise sweeps go
-	// through beamSweep under bm. The scratch is owned by this decoder (a
-	// StreamDecoder is single-goroutine by contract), so beam streaming
-	// allocates nothing per Push either.
-	bm    Beam
-	width int
-	bsc   *decodeScratch
 	// emit buffers are reallocated per emission: callers typically retain
 	// the emitted paths past the next Push.
 }
@@ -142,27 +135,18 @@ func (f *Factorial) NewStreamDecoder(window int) (*StreamDecoder, error) {
 	}, nil
 }
 
-// NewStreamDecoderBeam is NewStreamDecoder with beam pruning: the same
-// Beam semantics as DecodeBeam, applied to every windowed sweep. The
-// zero-value Beam{} gives exact auto-width pruning, bit-identical to
-// NewStreamDecoder (and so to DecodeWindowed — the online-equivalence laws
-// hold for beam streams too); Approx/Float32 opt into the approximate
-// modes.
-func (f *Factorial) NewStreamDecoderBeam(window int, bm Beam) (*StreamDecoder, error) {
-	if err := bm.Validate(); err != nil {
-		return nil, err
-	}
-	d, err := f.NewStreamDecoder(window)
-	if err != nil {
-		return nil, err
-	}
-	if bm.Float32 {
-		f.ensurePrep32()
-	}
-	d.bm = bm
-	d.width = bm.width(d.p.nj)
-	d.bsc = &decodeScratch{}
-	return d, nil
+// Beam is NewStreamDecoderBeam's ignored option argument.
+//
+// Deprecated: Beam exists only so the perfbench module compiles; it will be
+// removed together with its use there. Use NewStreamDecoder.
+type Beam struct{}
+
+// NewStreamDecoderBeam is NewStreamDecoder.
+//
+// Deprecated: it exists only so the perfbench module compiles; it will be
+// removed together with its use there. Use NewStreamDecoder.
+func (f *Factorial) NewStreamDecoderBeam(window int, _ Beam) (*StreamDecoder, error) {
+	return f.NewStreamDecoder(window)
 }
 
 // Window returns the emission window length.
@@ -176,23 +160,12 @@ func (d *StreamDecoder) Push(x float64) ([][]int, bool) {
 	nj := p.nj
 	r := d.filled
 	if !d.seen {
-		if d.bm.Float32 {
-			x32 := float32(x)
-			for j := 0; j < nj; j++ {
-				d.delta[j] = p.initLog[j] + float64(p.emitLog32(x32, j))
-			}
-		} else {
-			for j := 0; j < nj; j++ {
-				d.delta[j] = p.initLog[j] + p.emitLog(x, j)
-			}
+		for j := 0; j < nj; j++ {
+			d.delta[j] = p.initLog[j] + p.emitLog(x, j)
 		}
 		d.seen = true
 	} else {
-		if d.width > 0 {
-			p.beamSweep(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj], d.bsc, d.width, d.bm)
-		} else {
-			p.sweepRange(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj], 0, nj)
-		}
+		p.sweepRange(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj], 0, nj)
 		d.delta, d.next = d.next, d.delta
 	}
 	d.filled++

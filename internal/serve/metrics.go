@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"privmem/internal/metrics"
 )
 
 // Metrics holds the service's observability counters and gauges. All fields
@@ -70,7 +72,7 @@ type Metrics struct {
 	// Latency is the request-latency distribution in microseconds, across
 	// all routes. Latency.Sum()/Requests is the mean; /metrics exports
 	// p50/p95/p99 upper bounds from its log2 buckets.
-	Latency Histogram
+	Latency metrics.Histogram
 }
 
 // WriteText renders every metric as one "name value" line in a fixed order,
