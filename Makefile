@@ -23,9 +23,9 @@ COVER_PKGS_CMD ?= ./cmd/memoird ./cmd/memoirload
 # longer local hunt, e.g. `make fuzz FUZZTIME=10m`.
 FUZZTIME ?= 30s
 
-.PHONY: check vet perfbench-vet lint lint-diff lint-stats build test race short cover cover-cmd fuzz bench bench-serve bench-experiments bench-armsrace bench-fleet bench-diff bench-all bench-load figures smoke smoke-load smoke-fleet memoird
+.PHONY: check vet perfbench-vet lint lint-diff lint-stats build test race short golden cover cover-cmd fuzz bench bench-serve bench-experiments bench-armsrace bench-fleet bench-diff bench-all bench-load figures smoke smoke-load smoke-fleet memoird
 
-check: vet perfbench-vet lint lint-diff build race cover fuzz smoke smoke-load smoke-fleet bench-diff
+check: vet perfbench-vet lint lint-diff build race golden cover fuzz smoke smoke-load smoke-fleet bench-diff
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +77,17 @@ race:
 
 short:
 	$(GO) test -short ./...
+
+# golden diffs the full-scale output of every registered experiment against
+# the checked-in figures_output.txt, which pins the report bytes (and so
+# every intra-experiment fan-out) at the default seed. The trailing
+# "(N/M experiments in T, W workers)" summary lines carry wall-clock time
+# and are stripped from both sides.
+GOLDEN_STRIP = '^\([0-9]+/[0-9]+ experiments in '
+golden:
+	@set -e; want=$$(mktemp); trap 'rm -f "$$want"' EXIT; \
+	grep -Ev $(GOLDEN_STRIP) figures_output.txt > "$$want"; \
+	$(GO) run ./cmd/figures -all | grep -Ev $(GOLDEN_STRIP) | diff -u "$$want" -
 
 # cover enforces the coverage gates: each package in COVER_PKGS must report
 # statement coverage >= COVER_FLOOR percent, and each in COVER_PKGS_CMD

@@ -10,6 +10,10 @@
 // per worker (or store into an indexed slot) and reduce sequentially in a
 // fixed order.
 //
+// Function literals handed to a fan-out helper (internal/par's Do and For)
+// run on worker goroutines too, so their bodies are checked exactly like
+// `go` statement bodies.
+//
 // Map-range float accumulation is the maporder analyzer's half of the same
 // contract; this package covers the goroutine half.
 package floatorder
@@ -22,14 +26,25 @@ import (
 	"privmem/internal/analysis"
 )
 
-// Analyzer is the floatorder check.
-var Analyzer = &analysis.Analyzer{
-	Name: "floatorder",
-	Doc:  "flag float accumulation in goroutine-scheduling or channel-arrival order",
-	Run:  run,
+// FanOuts names the package-level functions (package path -> function
+// names) whose function-literal arguments run concurrently.
+type FanOuts map[string][]string
+
+// Analyzer is the floatorder check with the repository's fan-out helper.
+var Analyzer = New(FanOuts{"privmem/internal/par": {"Do", "For"}})
+
+// New returns a floatorder analyzer that also treats function literals
+// passed to the given fan-out functions as goroutine bodies.
+func New(fanOuts FanOuts) *analysis.Analyzer {
+	a := &analysis.Analyzer{
+		Name: "floatorder",
+		Doc:  "flag float accumulation in goroutine-scheduling or channel-arrival order",
+	}
+	a.Run = func(pass *analysis.Pass) error { return run(pass, fanOuts) }
+	return a
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass, fanOuts FanOuts) error {
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -38,6 +53,17 @@ func run(pass *analysis.Pass) error {
 				if lit, ok := ast.Unparen(stmt.Call.Fun).(*ast.FuncLit); ok {
 					checkAccum(pass, lit.Body, lit.Pos(),
 						"goroutine-scheduling order (go statement)")
+				}
+			case *ast.CallExpr:
+				fn := analysis.Callee(info, stmt)
+				if !isFanOut(fn, fanOuts) {
+					return true
+				}
+				for _, arg := range stmt.Args {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						checkAccum(pass, lit.Body, lit.Pos(),
+							"goroutine-scheduling order ("+fn.Pkg().Name()+"."+fn.Name()+" argument)")
+					}
 				}
 			case *ast.RangeStmt:
 				tv, ok := info.Types[stmt.X]
@@ -52,6 +78,19 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// isFanOut reports whether fn is one of the configured fan-out functions.
+func isFanOut(fn *types.Func, fanOuts FanOuts) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	for _, name := range fanOuts[fn.Pkg().Path()] {
+		if analysis.IsPackageFunc(fn, fn.Pkg().Path(), name) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkAccum reports op-assign float accumulation inside body into

@@ -1,8 +1,9 @@
 // Fixture for the floatorder analyzer: float accumulation into outer
-// variables inside go statements or channel ranges is flagged (even when
-// mutex-guarded — the race is fixed, the order is not); goroutine-local
-// accumulators, indexed per-worker slots with sequential reduction, and
-// integer counters are clean.
+// variables inside go statements, function literals passed to fan-out
+// helpers, or channel ranges is flagged (even when mutex-guarded — the race
+// is fixed, the order is not); goroutine-local accumulators, indexed
+// per-worker slots with sequential reduction, and integer counters are
+// clean.
 package floatorder
 
 import "sync"
@@ -68,4 +69,39 @@ func cleanIntCounter(events chan int) int {
 		count++
 	}
 	return count
+}
+
+// Do and For stand in for internal/par's fan-out helpers: their function
+// arguments run on worker goroutines.
+func Do(fns ...func() error) error { return nil }
+
+func For(n int, fn func(i int) error) error { return nil }
+
+func flaggedFanOutAccum(vals []float64) float64 {
+	var sum float64
+	_ = For(len(vals), func(i int) error {
+		sum += vals[i] // want `floating-point accumulation into sum in goroutine-scheduling order \(floatorder.For argument\)`
+		return nil
+	})
+	var total float64
+	_ = Do(func() error {
+		total -= vals[0] // want `floating-point accumulation into total in goroutine-scheduling order \(floatorder.Do argument\)`
+		return nil
+	}, func() error { return nil })
+	return sum + total
+}
+
+func cleanFanOutSlots(vals []float64) float64 {
+	out := make([]float64, len(vals))
+	_ = For(len(vals), func(i int) error {
+		var local float64
+		local += vals[i]
+		out[i] = local
+		return nil
+	})
+	var sum float64
+	for _, v := range out {
+		sum += v
+	}
+	return sum
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"privmem/internal/hmm"
+	"privmem/internal/par"
 	"privmem/internal/timeseries"
 )
 
@@ -96,20 +97,32 @@ func TrainFHMM(submetered map[string]*timeseries.Series, other *timeseries.Serie
 	}
 	sort.Strings(names)
 
-	chains := make([]*hmm.Model, 0, len(names)+1)
-	for _, name := range names {
-		m, err := hmm.Train(submetered[name].Values, hmm.TrainConfig{States: cfg.StatesPerDevice})
-		if err != nil {
-			return nil, fmt.Errorf("train fhmm: device %q: %w", name, err)
-		}
-		chains = append(chains, m)
-	}
+	// Each chain trains on its own trace, so the chains train concurrently
+	// into fixed slots. Workers take the chains last first: the
+	// other-loads chain has the most states and trains longest, so starting
+	// it first keeps it from running alone at the end.
+	nChains := len(names)
 	if other != nil && cfg.OtherStates > 0 {
-		m, err := hmm.Train(other.Values, hmm.TrainConfig{States: cfg.OtherStates})
-		if err != nil {
-			return nil, fmt.Errorf("train fhmm: other-loads chain: %w", err)
+		nChains++
+	}
+	chains := make([]*hmm.Model, nChains)
+	err := par.For(nChains, func(k int) (err error) {
+		i := nChains - 1 - k
+		if i < len(names) {
+			chains[i], err = hmm.Train(submetered[names[i]].Values, hmm.TrainConfig{States: cfg.StatesPerDevice})
+			if err != nil {
+				return fmt.Errorf("train fhmm: device %q: %w", names[i], err)
+			}
+			return nil
 		}
-		chains = append(chains, m)
+		chains[i], err = hmm.Train(other.Values, hmm.TrainConfig{States: cfg.OtherStates})
+		if err != nil {
+			return fmt.Errorf("train fhmm: other-loads chain: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	factory, err := hmm.NewFactorial(chains, cfg.ObsStdW)
 	if err != nil {
@@ -142,15 +155,23 @@ func (f *FHMM) Disaggregate(aggregate *timeseries.Series) (map[string]*timeserie
 	for _, name := range f.names {
 		out[name] = timeseries.MustNew(aggregate.Start, aggregate.Step, aggregate.Len())
 	}
-	for lo := 0; lo < aggregate.Len(); lo += f.cfg.ChunkSamples {
-		hi := min(lo+f.cfg.ChunkSamples, aggregate.Len())
+	// Chunks decode independently, each with the serial Viterbi sweep, and
+	// write disjoint ranges of the output series.
+	n, chunk := aggregate.Len(), f.cfg.ChunkSamples
+	err := par.For((n+chunk-1)/chunk, func(c int) error {
+		lo := c * chunk
+		hi := min(lo+chunk, n)
 		powers, err := f.factory.InferPower(aggregate.Values[lo:hi])
 		if err != nil {
-			return nil, fmt.Errorf("fhmm disaggregate [%d:%d]: %w", lo, hi, err)
+			return fmt.Errorf("fhmm disaggregate [%d:%d]: %w", lo, hi, err)
 		}
 		for d, name := range f.names {
 			copy(out[name].Values[lo:hi], powers[d])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -86,7 +86,7 @@ func (c *PowerPlayConfig) withDefaults() PowerPlayConfig {
 // toleranceFor returns the effective relative tolerance for a model,
 // applying the absolute floor.
 func (c *PowerPlayConfig) toleranceFor(m loads.Model) float64 {
-	return math.Max(c.Tolerance, c.AbsToleranceW/m.OnPower)
+	return max(c.Tolerance, c.AbsToleranceW/m.OnPower)
 }
 
 func (c *PowerPlayConfig) validate() error {

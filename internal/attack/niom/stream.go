@@ -294,7 +294,7 @@ func (s *Stream) WindowSamples() int { return s.k }
 // passing a reused Scratch makes the boundary path allocation-free.
 func (s *Stream) Push(v float64, sc *Scratch) (label float64, boundary bool) {
 	if s.fill > 0 {
-		s.maxAD = math.Max(s.maxAD, math.Abs(v-s.prev))
+		s.maxAD = max(s.maxAD, math.Abs(v-s.prev))
 	}
 	s.sum += v
 	s.prev = v

@@ -84,7 +84,7 @@ func Disaggregate(net *timeseries.Series, stations []weather.Station, cfg Config
 
 	// Export proxy: hours where the home pushed power into the grid are
 	// lower bounds on generation.
-	export := net.Clone().Map(func(v float64) float64 { return math.Max(0, -v) })
+	export := net.Clone().Map(func(v float64) float64 { return max(0, -v) })
 	if export.Max() < cfg.MinExportW {
 		return nil, fmt.Errorf("%w: no solar export detected (max %0.f W)", ErrBadInput, export.Max())
 	}

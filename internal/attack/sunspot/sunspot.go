@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"privmem/internal/par"
 	"privmem/internal/stats"
 	"privmem/internal/sun"
 	"privmem/internal/timeseries"
@@ -163,12 +164,27 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 		}
 		return sse / float64(len(resid)), true
 	}
+	// warm evaluates the forward model at every (date, lat) key the next
+	// scores read, spread over the cores. Scoring then runs serially over
+	// cache hits in a fixed order, so the fit does not depend on which
+	// goroutine computed a key.
+	warm := func(lats ...float64) {
+		_ = par.For(len(lats)*len(anchors), func(k int) error {
+			modelWindows(anchors[k%len(anchors)].date, lats[k/len(anchors)], cfg.Threshold)
+			return nil
+		})
+	}
 	// The seasonal trend identifies latitude; the unknown tilt bends the
 	// trend too, so fit it jointly from a small candidate set.
 	bestLat, bestTilt, bestS := 0.0, 0, math.Inf(1)
 	const lo, hi, coarse = -60.0, 60.0, 2.0
+	var grid []float64
+	for lat := lo; lat <= hi; lat += coarse {
+		grid = append(grid, lat)
+	}
+	warm(grid...)
 	for tilt := range modelTiltsDeg {
-		for lat := lo; lat <= hi; lat += coarse {
+		for _, lat := range grid {
 			if s, ok := score(lat, tilt); ok && s < bestS {
 				bestLat, bestTilt, bestS = lat, tilt, s
 			}
@@ -181,6 +197,7 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	for i := 0; i < 24; i++ {
 		m1 := a + (b-a)*0.382
 		m2 := a + (b-a)*0.618
+		warm(m1, m2)
 		s1, ok1 := score(m1, bestTilt)
 		s2, ok2 := score(m2, bestTilt)
 		if !ok1 || !ok2 {
@@ -363,7 +380,7 @@ func computeModelWindows(day time.Time, lat, thresholdFrac float64) (out [len(mo
 		sky := sites[0].Sky(eph[i].eph, eph[i].ha)
 		for j := range sites {
 			gen[j][i] = sites[j].FromSky(sky)
-			peak[j] = math.Max(peak[j], gen[j][i])
+			peak[j] = max(peak[j], gen[j][i])
 		}
 	}
 	for j := range out {
@@ -429,7 +446,7 @@ func extractAnchors(gen *timeseries.Series, cfg Config) []dayAnchor {
 
 		runPeak := 0.0
 		for j := start; j < end; j++ {
-			runPeak = math.Max(runPeak, gen.Values[j])
+			runPeak = max(runPeak, gen.Values[j])
 		}
 		runLenH := float64(end-start) * stepMin / 60
 		if runPeak < cfg.MinPeakW || runLenH < 4 || runLenH > 20 ||
@@ -475,7 +492,7 @@ func interpFrac(outer, inner, thr float64) float64 {
 		return 0
 	}
 	f := (inner - thr) / (inner - outer)
-	return math.Max(0, math.Min(1, f))
+	return max(0, min(1, f))
 }
 
 // DebugAnchor exposes one extracted solar-day anchor for diagnostics.

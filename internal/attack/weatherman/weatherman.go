@@ -9,7 +9,6 @@ package weatherman
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -127,7 +126,7 @@ func Localize(gen *timeseries.Series, stations []weather.Station, cfg Config) (E
 	k := min(cfg.TopK, len(scores))
 	base := 0.0
 	if k < len(scores) {
-		base = math.Max(0, scores[k].r)
+		base = max(0, scores[k].r)
 	}
 	var wSum, latSum, lonSum float64
 	for _, s := range scores[:k] {
@@ -160,11 +159,11 @@ func anomalySeries(gen *timeseries.Series, cfg Config) (anomaly []float64, indic
 	envelope := make([]float64, hoursPerDay)
 	for i, v := range gen.Values {
 		h := i % hoursPerDay
-		envelope[h] = math.Max(envelope[h], v)
+		envelope[h] = max(envelope[h], v)
 	}
 	peak := 0.0
 	for _, v := range envelope {
-		peak = math.Max(peak, v)
+		peak = max(peak, v)
 	}
 	if peak <= 0 {
 		return nil, nil, fmt.Errorf("%w: no generation at all", ErrBadInput)
@@ -175,7 +174,7 @@ func anomalySeries(gen *timeseries.Series, cfg Config) (anomaly []float64, indic
 			continue
 		}
 		a := 1 - v/env
-		anomaly = append(anomaly, math.Max(0, math.Min(1, a)))
+		anomaly = append(anomaly, max(0, min(1, a)))
 		indices = append(indices, i)
 	}
 	if len(anomaly) < cfg.MinSamples {

@@ -84,17 +84,17 @@ type simState struct {
 // achievable delta after power and energy constraints.
 func (s *simState) apply(delta float64, hours float64) float64 {
 	if delta > 0 { // charging
-		delta = math.Min(delta, s.b.MaxChargeW)
+		delta = min(delta, s.b.MaxChargeW)
 		room := s.b.CapacityWh - s.socWh
 		maxByEnergy := room / s.b.Efficiency / hours
-		delta = math.Min(delta, maxByEnergy)
+		delta = min(delta, maxByEnergy)
 		s.socWh += delta * hours * s.b.Efficiency
 		return delta
 	}
 	// discharging
-	want := math.Min(-delta, s.b.MaxDischargeW)
+	want := min(-delta, s.b.MaxDischargeW)
 	maxByEnergy := s.socWh / hours
-	want = math.Min(want, maxByEnergy)
+	want = min(want, maxByEnergy)
 	s.socWh -= want * hours
 	return -want
 }
@@ -150,7 +150,7 @@ func NILL(load *timeseries.Series, b Battery) (*Result, error) {
 		if got < 0 {
 			res.ThroughputWh += -got * hours
 		}
-		res.Grid.Values[i] = math.Max(0, grid)
+		res.Grid.Values[i] = max(0, grid)
 		res.SoCWh.Values[i] = st.socWh
 	}
 	return res, nil
@@ -204,7 +204,7 @@ func Stepping(load *timeseries.Series, b Battery, stepW float64) (*Result, error
 		if got < 0 {
 			res.ThroughputWh += -got * hours
 		}
-		res.Grid.Values[i] = math.Max(0, grid)
+		res.Grid.Values[i] = max(0, grid)
 		res.SoCWh.Values[i] = st.socWh
 	}
 	return res, nil

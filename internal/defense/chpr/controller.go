@@ -223,7 +223,7 @@ func restLooksActive(rest *timeseries.Series, i, winSamples int, cfg Config) boo
 		v := rest.Values[j]
 		sum += v
 		if j > lo {
-			maxStep = math.Max(maxStep, math.Abs(v-prev))
+			maxStep = max(maxStep, math.Abs(v-prev))
 		}
 		prev = v
 	}

@@ -115,9 +115,9 @@ func LearnProfiles(clean *nettrace.Capture, cfg MonitorConfig) (*Monitor, error)
 		m.profiles[dev] = profile{
 			endpoints: endpointsByDev[dev],
 			meanFlows: stats.Mean(flows),
-			stdFlows:  math.Max(stats.Std(flows), 1),
+			stdFlows:  max(stats.Std(flows), 1),
 			meanUp:    stats.Mean(ups),
-			stdUp:     math.Max(stats.Std(ups), 1),
+			stdUp:     max(stats.Std(ups), 1),
 		}
 	}
 	return m, nil
@@ -191,7 +191,14 @@ func (m *Monitor) Scan(cap *nettrace.Capture) ([]Alert, error) {
 			}
 		}
 	}
-	sort.Slice(alerts, func(i, j int) bool { return alerts[i].At.Before(alerts[j].At) })
+	// feats is a map, so alerts arrive in iteration order; the device name
+	// breaks ties between devices quarantined in the same window.
+	sort.Slice(alerts, func(i, j int) bool {
+		if !alerts[i].At.Equal(alerts[j].At) {
+			return alerts[i].At.Before(alerts[j].At)
+		}
+		return alerts[i].Device < alerts[j].Device
+	})
 	return alerts, nil
 }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -212,5 +213,61 @@ func TestValidation(t *testing.T) {
 	shortCap := &nettrace.Capture{Start: clean.Start, End: clean.Start}
 	if _, _, err := Shape(shortCap, DefaultShapeConfig()); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("short capture error = %v", err)
+	}
+}
+
+// TestScanOrderDeterministic: alerts that quarantine several devices in one
+// window must come back in one order on every scan, ties broken by device
+// name. Scan walks a map of per-device features, so ordering by time alone
+// leaves tied alerts in map-iteration order.
+func TestScanOrderDeterministic(t *testing.T) {
+	mon, err := LearnProfiles(cleanCapture(t, 3, 2), DefaultMonitorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := nettrace.DefaultConfig(5)
+	cfg.Days = 3
+	at := cfg.Start.Add(30 * time.Hour)
+	cfg.Compromises = []nettrace.Compromise{
+		{Device: "camera-02", At: at, Kind: nettrace.CompromiseExfil},
+		{Device: "smart-plug-03", At: at, Kind: nettrace.CompromiseScan},
+		{Device: "bulb-05", At: at, Kind: nettrace.CompromiseBot},
+	}
+	victim, err := nettrace.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := func(alerts []Alert) []string {
+		out := make([]string, len(alerts))
+		for i, a := range alerts {
+			out[i] = a.At.Format(time.RFC3339) + " " + a.Device
+		}
+		return out
+	}
+	first, err := mon.Scan(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := order(first)
+	ties := 0
+	for i := 1; i < len(first); i++ {
+		if first[i].At.Equal(first[i-1].At) {
+			ties++
+			if first[i].Device < first[i-1].Device {
+				t.Errorf("tied alerts out of device order: %v", want)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatalf("no tied alerts in %v; the tie order is untested", want)
+	}
+	for run := 1; run < 20; run++ {
+		alerts, err := mon.Scan(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := order(alerts); !slices.Equal(got, want) {
+			t.Fatalf("scan %d returned %v, first scan %v", run, got, want)
+		}
 	}
 }

@@ -154,16 +154,16 @@ func Shape(cap *nettrace.Capture, cfg ShapeConfig) (*nettrace.Capture, *ShapeRep
 		// plain quantile can sit below the mean rate and the queue would
 		// grow without bound. The envelope must at least cover the mean
 		// with headroom to drain bursts.
-		envUp[si] = math.Max(stats.Quantile(ups, cfg.EnvelopeQuantile), 1.2*stats.Mean(ups))
-		envDown[si] = math.Max(stats.Quantile(downs, cfg.EnvelopeQuantile), 1.2*stats.Mean(downs))
+		envUp[si] = max(stats.Quantile(ups, cfg.EnvelopeQuantile), 1.2*stats.Mean(ups))
+		envDown[si] = max(stats.Quantile(downs, cfg.EnvelopeQuantile), 1.2*stats.Mean(downs))
 	}
 	if cfg.Uniform {
 		// One LAN-wide envelope: every device padded to the heaviest
 		// device's envelope, so volume tiers reveal nothing either.
 		var u, d float64
 		for si := range devNames {
-			u = math.Max(u, envUp[si])
-			d = math.Max(d, envDown[si])
+			u = max(u, envUp[si])
+			d = max(d, envDown[si])
 		}
 		for si := range devNames {
 			envUp[si], envDown[si] = u, d
@@ -187,8 +187,8 @@ func Shape(cap *nettrace.Capture, cfg ShapeConfig) (*nettrace.Capture, *ShapeRep
 		eu, ed := envUp[si], envDown[si]
 		// A zero envelope (device idle at the chosen quantile) still gets a
 		// minimal cover flow so its presence pattern stays constant too.
-		eu = math.Max(eu, 64)
-		ed = math.Max(ed, 64)
+		eu = max(eu, 64)
+		ed = max(ed, 64)
 		if cfg.CellBytes > 0 {
 			cell := float64(cfg.CellBytes)
 			eu = math.Ceil(eu/cell) * cell
@@ -198,11 +198,11 @@ func Shape(cap *nettrace.Capture, cfg ShapeConfig) (*nettrace.Capture, *ShapeRep
 		for w, v := range vols[devIdx[dev]*n : (devIdx[dev]+1)*n] {
 			queueUp += v.up
 			queueDown += v.down
-			queueUp -= math.Min(queueUp, eu)
-			queueDown -= math.Min(queueDown, ed)
+			queueUp -= min(queueUp, eu)
+			queueDown -= min(queueDown, ed)
 			if queueUp > 0 || queueDown > 0 {
 				report.BackloggedIntervals++
-				drain := math.Max(queueUp/eu, queueDown/ed)
+				drain := max(queueUp/eu, queueDown/ed)
 				delay := time.Duration(drain * float64(cfg.Interval))
 				if delay > report.MaxQueueDelay {
 					report.MaxQueueDelay = delay

@@ -22,6 +22,7 @@ import (
 	"math/big"
 
 	"privmem/internal/meter"
+	"privmem/internal/par"
 )
 
 // ErrVerify indicates a commitment or proof that failed verification.
@@ -79,15 +80,23 @@ type Opening struct {
 // from rng (pass crypto/rand.Reader in production; tests may use a
 // deterministic reader).
 func (g *Group) Commit(x int64, rng io.Reader) (Commitment, Opening, error) {
+	o, err := g.open(x, rng)
+	if err != nil {
+		return Commitment{}, Opening{}, err
+	}
+	return Commitment{C: g.commitRaw(o.X, o.R)}, o, nil
+}
+
+// open validates x and draws its blinding factor from rng.
+func (g *Group) open(x int64, rng io.Reader) (Opening, error) {
 	if x < 0 {
-		return Commitment{}, Opening{}, fmt.Errorf("%w: negative reading %d", ErrBadInput, x)
+		return Opening{}, fmt.Errorf("%w: negative reading %d", ErrBadInput, x)
 	}
 	r, err := rand.Int(rng, g.Q)
 	if err != nil {
-		return Commitment{}, Opening{}, fmt.Errorf("zkmeter commit: %w", err)
+		return Opening{}, fmt.Errorf("zkmeter commit: %w", err)
 	}
-	c := g.commitRaw(big.NewInt(x), r)
-	return Commitment{C: c}, Opening{X: big.NewInt(x), R: r}, nil
+	return Opening{X: big.NewInt(x), R: r}, nil
 }
 
 func (g *Group) commitRaw(x, r *big.Int) *big.Int {
@@ -219,13 +228,31 @@ func NewMeter(g *Group, rng io.Reader) *Meter {
 // Record commits a new interval reading and appends it to the published
 // stream.
 func (m *Meter) Record(r meter.Reading) error {
-	c, o, err := m.group.Commit(r.WattHours, m.rng)
-	if err != nil {
-		return fmt.Errorf("meter record: %w", err)
+	return m.RecordAll([]meter.Reading{r})
+}
+
+// RecordAll commits readings in order and appends them to the published
+// stream; on error nothing is appended. The blinding factors are drawn from
+// the meter's randomness source serially, in reading order, so the result
+// equals recording one reading at a time; only the modular
+// exponentiations, which dominate the cost, run concurrently.
+func (m *Meter) RecordAll(rs []meter.Reading) error {
+	openings := make([]Opening, len(rs))
+	for i, r := range rs {
+		o, err := m.group.open(r.WattHours, m.rng)
+		if err != nil {
+			return fmt.Errorf("meter record: %w", err)
+		}
+		openings[i] = o
 	}
-	m.readings = append(m.readings, r)
-	m.openings = append(m.openings, o)
-	m.Published = append(m.Published, c)
+	commits := make([]Commitment, len(rs))
+	_ = par.For(len(rs), func(i int) error {
+		commits[i] = Commitment{C: m.group.commitRaw(openings[i].X, openings[i].R)}
+		return nil
+	})
+	m.readings = append(m.readings, rs...)
+	m.openings = append(m.openings, openings...)
+	m.Published = append(m.Published, commits...)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"privmem/internal/defense/gateway"
 	"privmem/internal/home"
 	"privmem/internal/nettrace"
+	"privmem/internal/par"
 )
 
 // networkWorkload bundles the memoized §IV world; consumers read only.
@@ -49,33 +50,29 @@ func networkWorldUncached(opts Options) (lab, victim *nettrace.Capture, tr *home
 	// seeded generator, so the split cannot perturb any random stream — the
 	// three captures are bit-identical to the sequential build (pinned by
 	// suite.RunAllDeterministic and the golden figures).
-	var labErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	err = par.Do(func() (err error) {
+		hcfg := home.DefaultConfig(seed + 21)
+		hcfg.Days = days
+		if tr, err = home.Simulate(hcfg); err != nil {
+			return err
+		}
+		vcfg := nettrace.DefaultConfig(seed + 2)
+		vcfg.Days = days
+		vcfg.Activity = tr.Active
+		victim, err = nettrace.Simulate(vcfg)
+		return err
+	}, func() (err error) {
 		labCfg := nettrace.DefaultConfig(seed + 1)
 		labCfg.Days = 2
 		labCfg.Counts = map[nettrace.Class]int{}
 		for _, c := range nettrace.Classes() {
 			labCfg.Counts[c] = 1
 		}
-		lab, labErr = nettrace.Simulate(labCfg)
-	}()
-	hcfg := home.DefaultConfig(seed + 21)
-	hcfg.Days = days
-	tr, err = home.Simulate(hcfg)
-	if err == nil {
-		vcfg := nettrace.DefaultConfig(seed + 2)
-		vcfg.Days = days
-		vcfg.Activity = tr.Active
-		victim, err = nettrace.Simulate(vcfg)
-	}
-	<-done
+		lab, err = nettrace.Simulate(labCfg)
+		return err
+	})
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if labErr != nil {
-		return nil, nil, nil, labErr
 	}
 	return lab, victim, tr, nil
 }
@@ -95,15 +92,18 @@ func netClassifierWorld(opts Options) (*netClassifiers, error) {
 		if err != nil {
 			return nil, err
 		}
-		clf, err := fingerprint.Train(lab, time.Hour)
+		var nc netClassifiers
+		err = par.Do(func() (err error) {
+			nc.clf, err = fingerprint.Train(lab, time.Hour)
+			return err
+		}, func() (err error) {
+			nc.bayes, err = fingerprint.TrainBayes(lab, time.Hour)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		bayes, err := fingerprint.TrainBayes(lab, time.Hour)
-		if err != nil {
-			return nil, err
-		}
-		return &netClassifiers{clf: clf, bayes: bayes}, nil
+		return &nc, nil
 	})
 }
 
@@ -121,10 +121,6 @@ func gatewayDetectWorld(opts Options) (*gatewayDetection, error) {
 		if err != nil {
 			return nil, err
 		}
-		mon, err := gateway.LearnProfiles(victim, gateway.DefaultMonitorConfig())
-		if err != nil {
-			return nil, err
-		}
 		atkCfg := nettrace.DefaultConfig(seed + 4)
 		atkCfg.Days = 3
 		atkCfg.Activity = tr.Active
@@ -134,7 +130,17 @@ func gatewayDetectWorld(opts Options) (*gatewayDetection, error) {
 			{Device: "smart-plug-03", At: at, Kind: nettrace.CompromiseScan},
 			{Device: "bulb-05", At: at, Kind: nettrace.CompromiseBot},
 		}
-		compromised, err := nettrace.Simulate(atkCfg)
+		// Profiles learned from the clean victim capture and the
+		// compromised capture are independent until the scan.
+		var mon *gateway.Monitor
+		var compromised *nettrace.Capture
+		err = par.Do(func() (err error) {
+			mon, err = gateway.LearnProfiles(victim, gateway.DefaultMonitorConfig())
+			return err
+		}, func() (err error) {
+			compromised, err = nettrace.Simulate(atkCfg)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -192,15 +198,20 @@ func TableFingerprint(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
-	id, err := fingerprint.Identify(nc.clf, victim)
-	if err != nil {
-		return nil, fmt.Errorf("table fingerprint: %w", err)
-	}
-	idBayes, err := fingerprint.IdentifyBayes(nc.bayes, victim)
-	if err != nil {
-		return nil, fmt.Errorf("table fingerprint: %w", err)
-	}
-	occ, err := fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
+	// The three attacks only read the victim capture and the trained
+	// models.
+	var id, idBayes *fingerprint.Identification
+	var occ *timeseries.Series
+	err = par.Do(func() (err error) {
+		id, err = fingerprint.Identify(nc.clf, victim)
+		return err
+	}, func() (err error) {
+		idBayes, err = fingerprint.IdentifyBayes(nc.bayes, victim)
+		return err
+	}, func() (err error) {
+		occ, err = fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
@@ -245,61 +256,79 @@ func TableGateway(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("table gateway: %w", err)
 	}
 
-	// Compromise detection: the injected capture, the scan, and the
-	// resulting first-alert latencies are memoized as one world.
-	det, err := gatewayDetectWorld(opts)
+	// Every world below reads only the memoized victim capture, so the
+	// worlds build concurrently, then the attacks on the unshaped and the
+	// two shaped captures run concurrently. Results land in fixed slots and
+	// the rows are assembled in a fixed order.
+	var (
+		det      *gatewayDetection
+		nc       *netClassifiers
+		occPlain *timeseries.Series
+	)
+	modes := []struct {
+		label, key string
+		uniform    bool
+	}{{"shaped (per-device)", "per_device", false}, {"shaped (uniform)", "uniform", true}}
+	sws := make([]*shapedWorld, len(modes))
+	err = par.Do(func() (err error) {
+		det, err = gatewayDetectWorld(opts)
+		return err
+	}, func() (err error) {
+		nc, err = netClassifierWorld(opts)
+		return err
+	}, func() (err error) {
+		sws[0], err = gatewayShapeWorld(opts, modes[0].uniform)
+		return err
+	}, func() (err error) {
+		sws[1], err = gatewayShapeWorld(opts, modes[1].uniform)
+		return err
+	}, func() (err error) {
+		occPlain, err = fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("table gateway: %w", err)
 	}
 	latency := det.latency
-
-	// Shaping tradeoff.
-	nc, err := netClassifierWorld(opts)
-	if err != nil {
-		return nil, fmt.Errorf("table gateway: %w", err)
-	}
-	clf := nc.clf
-	plainID, err := fingerprint.Identify(clf, victim)
-	if err != nil {
-		return nil, fmt.Errorf("table gateway: %w", err)
-	}
-	occPlain, err := fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
-	if err != nil {
-		return nil, fmt.Errorf("table gateway: %w", err)
-	}
 	evPlain, err := niom.EvaluateDaytime(tr.Occupancy, occPlain, 8, 23)
 	if err != nil {
 		return nil, fmt.Errorf("table gateway: %w", err)
 	}
 
 	type shaped struct {
-		label    string
 		id       float64
 		occMCC   float64
 		overhead float64
 	}
-	var shapes []shaped
-	for _, mode := range []struct {
-		label   string
-		uniform bool
-	}{{"shaped (per-device)", false}, {"shaped (uniform)", true}} {
-		sw, err := gatewayShapeWorld(opts, mode.uniform)
+	var plainID *fingerprint.Identification
+	shapes := make([]shaped, len(modes))
+	shapeRow := func(i int) error {
+		sw := sws[i]
+		sid, err := fingerprint.Identify(nc.clf, sw.cap)
 		if err != nil {
-			return nil, fmt.Errorf("table gateway: %w", err)
-		}
-		sid, err := fingerprint.Identify(clf, sw.cap)
-		if err != nil {
-			return nil, fmt.Errorf("table gateway: %w", err)
+			return err
 		}
 		occ, err := fingerprint.InferOccupancy(sw.cap, fingerprint.DefaultOccupancyConfig())
 		if err != nil {
-			return nil, fmt.Errorf("table gateway: %w", err)
+			return err
 		}
 		ev, err := niom.EvaluateDaytime(tr.Occupancy, occ, 8, 23)
 		if err != nil {
-			return nil, fmt.Errorf("table gateway: %w", err)
+			return err
 		}
-		shapes = append(shapes, shaped{mode.label, sid.Accuracy, ev.MCC, sw.report.PaddingOverhead})
+		shapes[i] = shaped{sid.Accuracy, ev.MCC, sw.report.PaddingOverhead}
+		return nil
+	}
+	err = par.Do(func() (err error) {
+		plainID, err = fingerprint.Identify(nc.clf, victim)
+		return err
+	}, func() error {
+		return shapeRow(0)
+	}, func() error {
+		return shapeRow(1)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("table gateway: %w", err)
 	}
 
 	rep := &Report{
@@ -323,15 +352,12 @@ func TableGateway(opts Options) (*Report, error) {
 		},
 	}
 	for i, s := range shapes {
+		label, key := modes[i].label, modes[i].key
 		rep.Rows = append(rep.Rows,
-			[]string{"device-ID accuracy, " + s.label, f(s.id)},
-			[]string{"occupancy MCC, " + s.label, f(s.occMCC)},
-			[]string{"padding overhead, " + s.label, fmt.Sprintf("%.2fx", s.overhead)},
+			[]string{"device-ID accuracy, " + label, f(s.id)},
+			[]string{"occupancy MCC, " + label, f(s.occMCC)},
+			[]string{"padding overhead, " + label, fmt.Sprintf("%.2fx", s.overhead)},
 		)
-		key := "per_device"
-		if i == 1 {
-			key = "uniform"
-		}
 		rep.Metrics["device_id_"+key] = s.id
 		rep.Metrics["occ_mcc_"+key] = s.occMCC
 		rep.Metrics["overhead_"+key] = s.overhead

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"privmem/internal/par"
 )
 
 func TestSafeRunContainsPanic(t *testing.T) {
@@ -48,5 +51,24 @@ func TestSafeRunContainsGoroutinePanic(t *testing.T) {
 	res := <-ch
 	if !errors.Is(res.err, ErrPanic) || res.rep != nil {
 		t.Fatalf("goroutine panic not contained: %v, %v", res.rep, res.err)
+	}
+}
+
+// TestSafeRunContainsFanOutPanic: a panic on a par worker goroutine inside
+// a generator is re-raised on the generator's goroutine, where safeRun's
+// recover turns it into ErrPanic instead of crashing the process.
+func TestSafeRunContainsFanOutPanic(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	r := Runner(func(Options) (*Report, error) {
+		err := par.Do(func() error { return nil }, func() error { panic("worker kaboom") })
+		return &Report{ID: "x"}, err
+	})
+	rep, err := safeRun(r, Options{})
+	if !errors.Is(err, ErrPanic) || rep != nil {
+		t.Fatalf("fan-out panic not contained: %v, %v", rep, err)
+	}
+	if !strings.Contains(err.Error(), "worker kaboom") {
+		t.Errorf("err %q does not carry the panic value", err)
 	}
 }

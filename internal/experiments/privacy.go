@@ -12,6 +12,7 @@ import (
 	"privmem/internal/defense/zkmeter"
 	"privmem/internal/home"
 	"privmem/internal/meter"
+	"privmem/internal/par"
 	"privmem/internal/stats"
 	"privmem/internal/timeseries"
 )
@@ -62,37 +63,49 @@ func TableDifferentialPrivacy(opts Options) (*Report, error) {
 	}
 	baseMCC := stats.Mean(baseMCCs)
 
-	for _, eps := range []float64{0.1, 0.5, 1, 5, 20, 50} {
+	// Each epsilon row draws its noise from its own seeded mechanisms, so
+	// the rows compute concurrently into fixed slots.
+	epsilons := []float64{0.1, 0.5, 1, 5, 20, 50}
+	type dpRow struct{ aggErr, perHome float64 }
+	rows := make([]dpRow, len(epsilons))
+	err = par.For(len(epsilons), func(e int) error {
+		eps := epsilons[e]
 		mech := dprivacy.Mechanism{Epsilon: eps, SensitivityW: 5000, Seed: seed + 11}
 		agg, err := dprivacy.Aggregate(mech, series)
 		if err != nil {
-			return nil, fmt.Errorf("table dp: %w", err)
+			return err
 		}
-		var mccs []float64
-		for i := 0; i < probe; i++ {
-			m := w.probeMeters[i]
+		mccs := make([]float64, probe)
+		for i := range mccs {
 			noisy, err := dprivacy.PerturbSeries(dprivacy.Mechanism{
 				Epsilon: eps, SensitivityW: 5000, Seed: seed + int64(i)*31,
-			}, m)
+			}, w.probeMeters[i])
 			if err != nil {
-				return nil, fmt.Errorf("table dp: %w", err)
+				return err
 			}
 			pred, err := niom.DetectThreshold(noisy, niom.DefaultConfig())
 			if err != nil {
-				return nil, fmt.Errorf("table dp: %w", err)
+				return err
 			}
 			ev, err := niom.Evaluate(traces[i].Occupancy, pred)
 			if err != nil {
-				return nil, fmt.Errorf("table dp: %w", err)
+				return err
 			}
-			mccs = append(mccs, ev.MCC)
+			mccs[i] = ev.MCC
 		}
-		perHome := stats.Mean(mccs)
+		rows[e] = dpRow{agg.RelativeError, stats.Mean(mccs)}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("table dp: %w", err)
+	}
+	for e, eps := range epsilons {
+		r := rows[e]
 		rep.Rows = append(rep.Rows, []string{
-			f(eps), f(agg.RelativeError), f(perHome), f(baseMCC),
+			f(eps), f(r.aggErr), f(r.perHome), f(baseMCC),
 		})
-		rep.Metrics[fmt.Sprintf("agg_err_eps_%g", eps)] = agg.RelativeError
-		rep.Metrics[fmt.Sprintf("mcc_eps_%g", eps)] = perHome
+		rep.Metrics[fmt.Sprintf("agg_err_eps_%g", eps)] = r.aggErr
+		rep.Metrics[fmt.Sprintf("mcc_eps_%g", eps)] = r.perHome
 	}
 	rep.Metrics["mcc_undefended"] = baseMCC
 	return rep, nil
@@ -173,10 +186,8 @@ func TableZKBilling(opts Options) (*Report, error) {
 	// reproducible (production meters must pass crypto/rand.Reader); the
 	// commit/verify timings belong to the root benchmarks, not the report.
 	m := zkmeter.NewMeter(g, rand.New(rand.NewSource(subSeed(seed, "zk-commitments"))))
-	for _, r := range readings {
-		if err := m.Record(r); err != nil {
-			return nil, fmt.Errorf("table zk: %w", err)
-		}
+	if err := m.RecordAll(readings); err != nil {
+		return nil, fmt.Errorf("table zk: %w", err)
 	}
 
 	resp, err := m.Bill(0, len(readings), "billing-period")

@@ -179,3 +179,37 @@ func TestRunContext(t *testing.T) {
 		t.Error("RunContext output differs from Run for identical options")
 	}
 }
+
+// TestFanOutsDeterministicAcrossGOMAXPROCS renders the experiments whose
+// world builders and attacks fan out through internal/par at GOMAXPROCS 1
+// (every fan-out runs inline, in index order) and 4 (on worker goroutines)
+// and requires identical bytes. The world memo is flushed before each pass
+// so every world, and every fan-out in it, is built in both passes.
+func TestFanOutsDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders six experiments twice from cold worlds")
+	}
+	defer SetWorldMemo(true)
+	ids := []string{"f2", "f5", "t5", "t6", "t8", "t9"}
+	opts := Options{Quick: true, Seed: 42}
+	render := func(procs int) []string {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		SetWorldMemo(true)
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			rep, err := Run(id, opts.ForExperiment(id))
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, id, err)
+			}
+			out[i] = rep.Render()
+		}
+		return out
+	}
+	parallel, serial := render(4), render(1)
+	for i, id := range ids {
+		if serial[i] != parallel[i] {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", id, serial[i], parallel[i])
+		}
+	}
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"privmem/internal/attack/sundance"
@@ -11,6 +10,7 @@ import (
 	"privmem/internal/home"
 	"privmem/internal/meter"
 	"privmem/internal/metrics"
+	"privmem/internal/par"
 	"privmem/internal/solarsim"
 	"privmem/internal/stats"
 	"privmem/internal/timeseries"
@@ -69,20 +69,12 @@ func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
 		// figures).
 		w := &solarFleetWorkload{stations: stations, sites: sites}
 		w.gens = make([]*timeseries.Series, len(sites))
-		errs := make([]error, len(sites))
-		var wg sync.WaitGroup
-		for i, s := range sites {
-			wg.Add(1)
-			go func(i int, s solarsim.Site) {
-				defer wg.Done()
-				w.gens[i], errs[i] = solarsim.Generate(s, field, solarStart, days, time.Minute, opts.seed()+int64(i))
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		err = par.For(len(sites), func(i int) (err error) {
+			w.gens[i], err = solarsim.Generate(sites[i], field, solarStart, days, time.Minute, opts.seed()+int64(i))
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return w, nil
 	})
@@ -107,33 +99,24 @@ func solarLocWorld(opts Options) ([]siteLocalization, error) {
 			return nil, err
 		}
 		locs := make([]siteLocalization, len(w.sites))
-		errs := make([]error, len(w.sites))
-		var wg sync.WaitGroup
-		for i := range w.sites {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s, gen := w.sites[i], w.gens[i]
-				loc := siteLocalization{ssKm: -1, wmKm: -1}
-				if est, err := sunspot.Localize(gen, sunspot.DefaultConfig()); err == nil {
-					loc.ssKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
-				}
-				hourly, err := gen.Resample(time.Hour)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if est, err := weatherman.Localize(hourly, w.stations, weatherman.DefaultConfig()); err == nil {
-					loc.wmKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
-				}
-				locs[i] = loc
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+		err = par.For(len(w.sites), func(i int) error {
+			s, gen := w.sites[i], w.gens[i]
+			loc := siteLocalization{ssKm: -1, wmKm: -1}
+			if est, err := sunspot.Localize(gen, sunspot.DefaultConfig()); err == nil {
+				loc.ssKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
 			}
+			hourly, err := gen.Resample(time.Hour)
+			if err != nil {
+				return err
+			}
+			if est, err := weatherman.Localize(hourly, w.stations, weatherman.DefaultConfig()); err == nil {
+				loc.wmKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
+			}
+			locs[i] = loc
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return locs, nil
 	})
@@ -236,41 +219,30 @@ func sundanceScoreWorld(opts Options) ([]sundanceScore, error) {
 			return nil, err
 		}
 		scores := make([]sundanceScore, len(w.homes))
-		errs := make([]error, len(w.homes))
-		var wg sync.WaitGroup
-		for i := range w.homes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				h := w.homes[i]
-				res, err := sundance.Disaggregate(h.net, w.stations, sundance.DefaultConfig())
-				if err != nil {
-					errs[i] = fmt.Errorf("home %d: %w", i, err)
-					return
-				}
-				ge, err := metrics.DisaggregationError(h.genH.Values, res.Generation.Values)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				ce, err := metrics.DisaggregationError(h.consH.Values, res.Consumption.Values)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				scores[i] = sundanceScore{
-					genErr:    ge,
-					consErr:   ce,
-					capacityW: res.CapacityW,
-					locKm:     metrics.HaversineKm(h.site.Lat, h.site.Lon, res.Lat, res.Lon),
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		err = par.For(len(w.homes), func(i int) error {
+			h := w.homes[i]
+			res, err := sundance.Disaggregate(h.net, w.stations, sundance.DefaultConfig())
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("home %d: %w", i, err)
 			}
+			ge, err := metrics.DisaggregationError(h.genH.Values, res.Generation.Values)
+			if err != nil {
+				return err
+			}
+			ce, err := metrics.DisaggregationError(h.consH.Values, res.Consumption.Values)
+			if err != nil {
+				return err
+			}
+			scores[i] = sundanceScore{
+				genErr:    ge,
+				consErr:   ce,
+				capacityW: res.CapacityW,
+				locKm:     metrics.HaversineKm(h.site.Lat, h.site.Lon, res.Lat, res.Lon),
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return scores, nil
 	})
@@ -319,20 +291,11 @@ func sundanceWorld(opts Options) (*sundanceWorkload, error) {
 		// any random stream. Bit-identical to the old sequential loop.
 		w := &sundanceWorkload{stations: stations}
 		w.homes = make([]sundanceHome, nHomes)
-		errs := make([]error, nHomes)
-		var wg sync.WaitGroup
-		for i := 0; i < nHomes; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = buildSundanceHome(&w.homes[i], field, start, days, nHomes, seed, i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		err = par.For(nHomes, func(i int) error {
+			return buildSundanceHome(&w.homes[i], field, start, days, nHomes, seed, i)
+		})
+		if err != nil {
+			return nil, err
 		}
 		return w, nil
 	})

@@ -197,7 +197,7 @@ func heartRateSample(rng *rand.Rand, user User, p float64) float64 {
 			hr += 35 * (rng.Float64() - 0.3)
 		}
 	}
-	return math.Max(40, hr)
+	return max(40, hr)
 }
 
 // runOnTrail generates an out-and-back run on the town's shared trail: it

@@ -491,7 +491,7 @@ func (r *runner) processHome(st *homeState, c *chunk, sc *niom.Scratch) {
 		if st.n >= 2 {
 			std := math.Sqrt(st.m2 / (st.n - 1))
 			if std > 0 {
-				st.maxZ = math.Max(st.maxZ, math.Abs(cnt-st.mean)/std)
+				st.maxZ = max(st.maxZ, math.Abs(cnt-st.mean)/std)
 			}
 		}
 		st.n++

@@ -3,7 +3,6 @@ package hmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -11,11 +10,6 @@ import (
 // exact joint Viterbi becomes intractable and callers must reduce chains or
 // states per chain.
 const maxJointStates = 1 << 16
-
-// parallelSweepMin is the joint-lattice size (joint states squared) above
-// which Decode fans the per-timestep sweep out to a worker pool. Below it
-// the per-timestep synchronization costs more than the sweep itself.
-const parallelSweepMin = 1 << 12
 
 // Factorial is a factorial HMM: several independent hidden chains whose
 // Gaussian emissions sum to the single observed value (a home's aggregate
@@ -218,13 +212,12 @@ func assemblePaths(p *factorialPrep, delta []float64, prev []int32, n int) [][]i
 	return out
 }
 
-// sweepRange runs one timestep of the Viterbi recursion for successors
-// [lo, hi): for each b it finds the best predecessor (strictly-greater max,
-// so the lowest index wins ties, exactly like the naive kernel) and adds the
-// emission term.
-func (p *factorialPrep) sweepRange(x float64, delta, next []float64, prevRow []int32, lo, hi int) {
+// sweep runs one timestep of the Viterbi recursion: for each successor b
+// it finds the best predecessor (strictly-greater max, so the lowest index
+// wins ties, exactly like the naive kernel) and adds the emission term.
+func (p *factorialPrep) sweep(x float64, delta, next []float64, prevRow []int32) {
 	nj := p.nj
-	for b := lo; b < hi; b++ {
+	for b := 0; b < nj; b++ {
 		row := p.transT[b*nj : b*nj+nj]
 		d := delta[:len(row)] // bounds-check elimination for d[a]
 		best, arg := math.Inf(-1), 0
@@ -244,11 +237,9 @@ func (p *factorialPrep) sweepRange(x float64, delta, next []float64, prevRow []i
 // The kernel is profile-shaped but bit-identical to the textbook
 // formulation: model tables are cached across calls (buildPrep), the
 // transition matrix is flat and transposed for contiguous predecessor
-// scans, Gaussian log terms are hoisted out of the inner loop, scratch rows
-// are pooled, and on large lattices the per-timestep successor sweep fans
-// out over a bounded worker pool (each successor's computation is
-// independent given the previous delta row, so parallel order cannot change
-// the result).
+// scans, Gaussian log terms are hoisted out of the inner loop, and scratch
+// rows are pooled. Decode is safe for concurrent use; callers with long traces
+// decode independent chunks concurrently (see nilm.FHMM.Disaggregate).
 func (f *Factorial) Decode(obs []float64) ([][]int, error) {
 	nc := len(f.Chains)
 	if len(obs) == 0 {
@@ -269,73 +260,12 @@ func (f *Factorial) Decode(obs []float64) ([][]int, error) {
 		delta[j] = p.initLog[j] + p.emitLog(obs[0], j)
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	parallel := nj*nj >= parallelSweepMin && workers > 1
-	if workers > 8 {
-		workers = 8
-	}
-	if parallel {
-		f.decodeSweepParallel(obs, delta, next, prev, workers)
-		// The final delta row lives in whichever buffer the last swap left
-		// active; decodeSweepParallel wrote it back into delta.
-	} else {
-		for t := 1; t < len(obs); t++ {
-			p.sweepRange(obs[t], delta, next, prev[t*nj:(t+1)*nj], 0, nj)
-			delta, next = next, delta
-		}
+	for t := 1; t < len(obs); t++ {
+		p.sweep(obs[t], delta, next, prev[t*nj:(t+1)*nj])
+		delta, next = next, delta
 	}
 
 	return assemblePaths(p, delta, prev, len(obs)), nil
-}
-
-// decodeSweepParallel runs the timestep recursion with the successor range
-// sharded over a bounded worker pool. Workers synchronize per timestep: the
-// recursion is sequential in t (delta at t feeds t+1), but all successors
-// within a timestep are independent. On return the final delta row has been
-// copied into the delta slice passed in.
-func (f *Factorial) decodeSweepParallel(obs []float64, delta, next []float64, prev []int32, workers int) {
-	p := f.prep
-	nj := p.nj
-	if workers > nj {
-		workers = nj
-	}
-	type task struct {
-		t      int
-		lo, hi int
-	}
-	tasks := make(chan task)
-	var wg sync.WaitGroup
-	var stepWG sync.WaitGroup
-	cur, nxt := delta, next
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range tasks {
-				p.sweepRange(obs[tk.t], cur, nxt, prev[tk.t*nj:(tk.t+1)*nj], tk.lo, tk.hi)
-				stepWG.Done()
-			}
-		}()
-	}
-	shard := (nj + workers - 1) / workers
-	nShards := (nj + shard - 1) / shard
-	for t := 1; t < len(obs); t++ {
-		stepWG.Add(nShards)
-		for lo := 0; lo < nj; lo += shard {
-			hi := lo + shard
-			if hi > nj {
-				hi = nj
-			}
-			tasks <- task{t: t, lo: lo, hi: hi}
-		}
-		stepWG.Wait()
-		cur, nxt = nxt, cur
-	}
-	close(tasks)
-	wg.Wait()
-	if &cur[0] != &delta[0] {
-		copy(delta, cur)
-	}
 }
 
 // InferPower decodes the aggregate and returns each chain's inferred power

@@ -2,8 +2,7 @@ package hmm
 
 // Golden conformance tests for the optimized decode kernels: the reference
 // implementations below are verbatim copies of the pre-optimization naive
-// kernels (per-call table builds, no transposition, no hoisting, no
-// parallel sweep). The optimized kernels must reproduce their output bit
+// kernels (per-call table builds, no transposition, no hoisting). The optimized kernels must reproduce their output bit
 // for bit — same states, same tie-breaking, same log-probabilities — on
 // randomized models, which is what licenses the caching as a pure
 // performance change.
@@ -12,7 +11,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+
+	"privmem/internal/par"
 )
 
 // refLogGauss is the naive per-call Gaussian log density.
@@ -247,15 +249,16 @@ func TestFactorialDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFactorialDecodeParallelMatchesReference forces the parallel sweep
-// (large joint lattice, GOMAXPROCS > 1) and checks bit-identity with the
-// sequential reference.
+// TestFactorialDecodeParallelMatchesReference decodes independent chunks
+// of a large joint lattice concurrently, the way nilm's Disaggregate does,
+// and checks every chunk's paths bit for bit against the sequential
+// reference.
 func TestFactorialDecodeParallelMatchesReference(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	rng := rand.New(rand.NewSource(13))
-	// 3 chains of 4 states: nj = 64, nj^2 = 4096 >= parallelSweepMin.
+	// 3 chains of 4 states: nj = 64.
 	chains := make([]*Model, 3)
 	for i := range chains {
 		chains[i] = randomModel(rng, 4)
@@ -264,15 +267,27 @@ func TestFactorialDecodeParallelMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nj := f.jointCount(); nj*nj < parallelSweepMin {
-		t.Fatalf("joint lattice %d^2 below parallel threshold %d: test misconfigured", nj, parallelSweepMin)
-	}
 	obs := make([]float64, 400)
 	for i := range obs {
 		obs[i] = rng.Float64() * 5000
 	}
-	checkFactorialAgainstReference(t, 0, f, obs)
-	checkFactorialAgainstReference(t, 1, f, obs)
+	const chunk = 100
+	got := make([][][]int, len(obs)/chunk)
+	err = par.For(len(got), func(c int) (err error) {
+		got[c], err = f.Decode(obs[c*chunk : (c+1)*chunk])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range got {
+		want := refFactorialDecode(f, obs[c*chunk:(c+1)*chunk])
+		for i := range want {
+			if !slices.Equal(got[c][i], want[i]) {
+				t.Fatalf("chunk %d chain %d: concurrent decode diverged from reference", c, i)
+			}
+		}
+	}
 }
 
 func TestFactorialDecodeEmptyObs(t *testing.T) {

@@ -169,7 +169,7 @@ func (m *Model) LogLikelihood(obs []float64) (float64, error) {
 		shift := math.Inf(-1)
 		for s := 0; s < k; s++ {
 			lg[s] = logGauss(x, m.Means[s], m.Stds[s])
-			shift = math.Max(shift, lg[s])
+			shift = max(shift, lg[s])
 		}
 		next := make([]float64, k)
 		for s := 0; s < k; s++ {

@@ -65,7 +65,7 @@ func (f *Factorial) DecodeWindowed(obs []float64, window int) ([][]int, error) {
 			// Row r's backpointers locate step r's best predecessor inside
 			// this window; row 0 of a non-first window points across the
 			// boundary and is never read back.
-			p.sweepRange(obs[t], delta, next, prev[r*nj:(r+1)*nj], 0, nj)
+			p.sweep(obs[t], delta, next, prev[r*nj:(r+1)*nj])
 			delta, next = next, delta
 		}
 		emitWindow(p, delta, prev, out, lo, hi-lo)
@@ -165,7 +165,7 @@ func (d *StreamDecoder) Push(x float64) ([][]int, bool) {
 		}
 		d.seen = true
 	} else {
-		p.sweepRange(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj], 0, nj)
+		p.sweep(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj])
 		d.delta, d.next = d.next, d.delta
 	}
 	d.filled++

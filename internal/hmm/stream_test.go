@@ -158,7 +158,7 @@ func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
 				}
 				continue
 			}
-			p.sweepRange(obs[tt], delta, next, prev[r*nj:(r+1)*nj], 0, nj)
+			p.sweep(obs[tt], delta, next, prev[r*nj:(r+1)*nj])
 			delta, next = next, delta
 		}
 		emitWindow(p, delta, prev, want, b[0], b[1]-b[0])

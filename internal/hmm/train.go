@@ -99,7 +99,7 @@ func (m *Model) baumWelchStep(obs []float64) (float64, error) {
 		shift[t] = math.Inf(-1)
 		for s := 0; s < k; s++ {
 			lg[s] = logGauss(x, m.Means[s], m.Stds[s])
-			shift[t] = math.Max(shift[t], lg[s])
+			shift[t] = max(shift[t], lg[s])
 		}
 		for s := 0; s < k; s++ {
 			b[t][s] = math.Exp(lg[s] - shift[t])
@@ -196,7 +196,7 @@ func (m *Model) baumWelchStep(obs []float64) (float64, error) {
 				vsum += gamma[t][s] * d * d
 			}
 			m.Means[s] = mean
-			m.Stds[s] = math.Max(math.Sqrt(vsum/wsum), minStd)
+			m.Stds[s] = max(math.Sqrt(vsum/wsum), minStd)
 		}
 	}
 	var ll float64

@@ -30,8 +30,8 @@ const relTol = 1e-9
 // zero).
 func approxEqual(a, b, rel float64) bool {
 	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= rel*math.Max(scale, 1)
+	scale := max(math.Abs(a), math.Abs(b))
+	return diff <= rel*max(scale, 1)
 }
 
 // EnergyConservedUnderResample checks the Series.Resample contract: the
@@ -118,8 +118,8 @@ func WindowsPartition(s *timeseries.Series, width time.Duration) error {
 		}
 		n += st.N
 		sum += st.Mean * float64(st.N)
-		minV = math.Min(minV, st.Min)
-		maxV = math.Max(maxV, st.Max)
+		minV = min(minV, st.Min)
+		maxV = max(maxV, st.Max)
 	}
 	if n != covered {
 		return fmt.Errorf("invariant: windows cover %d samples, want %d", n, covered)

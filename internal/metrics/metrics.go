@@ -198,5 +198,5 @@ func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 	dlam := (lon2 - lon1) * degToRad
 	a := math.Sin(dphi/2)*math.Sin(dphi/2) +
 		math.Cos(phi1)*math.Cos(phi2)*math.Sin(dlam/2)*math.Sin(dlam/2)
-	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
+	return 2 * EarthRadiusKm * math.Asin(min(1, math.Sqrt(a)))
 }

@@ -1,10 +1,11 @@
 package nettrace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"privmem/internal/timeseries"
@@ -206,8 +207,55 @@ func Simulate(cfg Config) (*Capture, error) {
 	}
 	_ = rng
 
-	sort.Slice(cap.Records, func(i, j int) bool { return cap.Records[i].Time.Before(cap.Records[j].Time) })
+	sortByTime(cap.Records)
 	return cap, nil
+}
+
+// sortByTime orders records by Time exactly as
+//
+//	sort.Slice(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+//
+// does, tied timestamps included, without moving 72-byte records through
+// the sort. slices.SortFunc and sort.Slice are generated from one pdqsort
+// template (sort/gen_sort_variants.go), so sorting 16-byte (time, index)
+// keys with the same comparison yields the same permutation; the records
+// are then permuted in place by following its cycles.
+func sortByTime(recs []FlowRecord) {
+	type key struct {
+		sec  int64
+		nsec int32
+		idx  int32
+	}
+	keys := make([]key, len(recs))
+	for i := range recs {
+		t := recs[i].Time
+		keys[i] = key{sec: t.Unix(), nsec: int32(t.Nanosecond()), idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.sec, b.sec); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.nsec, b.nsec)
+	})
+	// Position i takes the record at keys[i].idx. Each cycle is rotated
+	// once; a placed position is marked by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].idx) == i {
+			continue
+		}
+		r := recs[i]
+		j := i
+		for {
+			src := int(keys[j].idx)
+			keys[j].idx = int32(j)
+			if src == i {
+				recs[j] = r
+				break
+			}
+			recs[j] = recs[src]
+			j = src
+		}
+	}
 }
 
 // hashString is a small FNV-1a for deterministic per-device seeding.

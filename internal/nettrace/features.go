@@ -173,7 +173,7 @@ func extractSortedDevice(cap *Capture, dev string, idx []int32, window time.Dura
 			r := &recs[idx[k]]
 			f.BytesUp += float64(r.BytesUp)
 			f.BytesDown += float64(r.BytesDown)
-			f.MaxFlowUp = math.Max(f.MaxFlowUp, float64(r.BytesUp))
+			f.MaxFlowUp = max(f.MaxFlowUp, float64(r.BytesUp))
 			sc.endpoints[r.Endpoint] = struct{}{}
 			if k > lo {
 				sc.gaps = append(sc.gaps, r.Time.Sub(recs[idx[k-1]].Time).Seconds())
@@ -212,7 +212,7 @@ func extractUnsortedDevice(cap *Capture, dev string, idx []int32, window time.Du
 		b.up += float64(r.BytesUp)
 		b.down += float64(r.BytesDown)
 		b.endpoints[r.Endpoint] = true
-		b.maxUp = math.Max(b.maxUp, float64(r.BytesUp))
+		b.maxUp = max(b.maxUp, float64(r.BytesUp))
 	}
 	wins := make([]int, 0, len(byWin))
 	for w := range byWin {

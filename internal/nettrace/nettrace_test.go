@@ -2,6 +2,9 @@ package nettrace
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +192,48 @@ func TestClassAndCompromiseStrings(t *testing.T) {
 	for _, k := range []CompromiseKind{CompromiseScan, CompromiseExfil, CompromiseBot} {
 		if s := k.String(); strings.HasPrefix(s, "CompromiseKind(") {
 			t.Errorf("kind %d has no name", int(k))
+		}
+	}
+}
+
+// TestSortByTimeMatchesSortSlice pins sortByTime to the sort.Slice call it
+// replaced: the same permutation, ties included, from several input orders
+// of captures whose compromises add many tied timestamps.
+func TestSortByTimeMatchesSortSlice(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := DefaultConfig(seed)
+		cfg.Days = 1
+		at := cfg.Start.Add(12 * time.Hour)
+		cfg.Compromises = []Compromise{
+			{Device: "camera-02", At: at, Kind: CompromiseExfil},
+			{Device: "smart-plug-03", At: at, Kind: CompromiseScan},
+			{Device: "bulb-05", At: at, Kind: CompromiseBot},
+		}
+		sorted := simulate(t, cfg).Records
+		rng := rand.New(rand.NewSource(seed))
+		shuffled := slices.Clone(sorted)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		byDevice := slices.Clone(sorted)
+		slices.SortStableFunc(byDevice, func(a, b FlowRecord) int { return strings.Compare(a.Device, b.Device) })
+		for name, in := range map[string][]FlowRecord{"shuffled": shuffled, "reversed": reversed, "by-device": byDevice} {
+			want := slices.Clone(in)
+			sort.Slice(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+			got := slices.Clone(in)
+			sortByTime(got)
+			ties := 0
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d %s: record %d = %+v, sort.Slice gives %+v", seed, name, i, got[i], want[i])
+				}
+				if i > 0 && want[i].Time.Equal(want[i-1].Time) {
+					ties++
+				}
+			}
+			if ties == 0 {
+				t.Fatalf("seed %d %s: no tied timestamps; the tie order is untested", seed, name)
+			}
 		}
 	}
 }

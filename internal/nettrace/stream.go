@@ -3,7 +3,6 @@ package nettrace
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -88,7 +87,7 @@ func (a *FeatureAccumulator) Add(r FlowRecord) (f Features, ok bool, err error) 
 	a.up += float64(r.BytesUp)
 	a.down += float64(r.BytesDown)
 	a.endpoints[r.Endpoint] = true
-	a.maxUp = math.Max(a.maxUp, float64(r.BytesUp))
+	a.maxUp = max(a.maxUp, float64(r.BytesUp))
 	return f, ok, nil
 }
 

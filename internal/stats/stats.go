@@ -147,7 +147,7 @@ func TruncNormal(rng *rand.Rand, mean, std, lo, hi float64) float64 {
 			return v
 		}
 	}
-	return math.Max(lo, math.Min(hi, mean))
+	return max(lo, min(hi, mean))
 }
 
 // KMeans1D clusters 1-D data into k clusters and returns the sorted cluster

@@ -230,3 +230,46 @@ func TestQuickPearsonAffineInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinMinMaxMatchMath pins how the min and max builtins, which the
+// code base uses in place of math.Min and math.Max, relate to them over
+// the special values: bit for bit the same, signed zeros and single NaNs
+// included, with one exception. math.Max lets +Inf win over NaN (and
+// math.Min lets -Inf win), while the builtins return NaN whenever an
+// operand is NaN. Only a reduction over data holding both NaN and that
+// infinity can tell the two apart.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		1, -1, math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+	}
+	same := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.IsNaN(a) && math.IsNaN(b)
+		}
+		return math.Float64bits(a) == math.Float64bits(b)
+	}
+	// nanBeats reports whether x, y is the one pair on which the builtin
+	// returns NaN and math returns the infinity inf.
+	nanBeats := func(x, y, inf float64) bool {
+		return (math.IsNaN(x) && y == inf) || (x == inf && math.IsNaN(y))
+	}
+	for _, x := range specials {
+		for _, y := range specials {
+			got, want := max(x, y), math.Max(x, y)
+			if nanBeats(x, y, math.Inf(1)) {
+				want = math.NaN()
+			}
+			if !same(got, want) {
+				t.Errorf("max(%v, %v) = %v, want %v", x, y, got, want)
+			}
+			got, want = min(x, y), math.Min(x, y)
+			if nanBeats(x, y, math.Inf(-1)) {
+				want = math.NaN()
+			}
+			if !same(got, want) {
+				t.Errorf("min(%v, %v) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
+}

@@ -114,7 +114,7 @@ func (s *PlateSite) Sky(te TrigEphemeris, h HourAngle) Sky {
 	haDeg := h.HaDeg
 
 	cosZen := s.sinLat*te.SinDecl + s.cosLat*te.CosDecl*h.CosHA
-	cosZen = math.Max(-1, math.Min(1, cosZen))
+	cosZen = max(-1, min(1, cosZen))
 	zenRad := math.Acos(cosZen)
 	zen := zenRad * radToDeg
 
@@ -131,7 +131,7 @@ func (s *PlateSite) Sky(te TrigEphemeris, h HourAngle) Sky {
 	var az float64
 	if sinZen > 1e-9 {
 		cosAz := (te.SinDecl - s.sinLat*cosZen) / (s.cosLat * sinZen)
-		cosAz = math.Max(-1, math.Min(1, cosAz))
+		cosAz = max(-1, min(1, cosAz))
 		az = math.Acos(cosAz) * radToDeg
 		if haDeg > 0 {
 			az = 360 - az
@@ -147,7 +147,7 @@ func (s *PlateSite) Sky(te TrigEphemeris, h HourAngle) Sky {
 	return Sky{
 		lit:           true,
 		czd:           czd,
-		cosZenClamped: math.Max(0.03, czd),
+		cosZenClamped: max(0.03, czd),
 		szd:           math.Sin(zen * degToRad),
 		cosAzRel:      math.Cos((az - s.AzimuthDeg) * degToRad),
 		dhi:           dhi,
@@ -162,6 +162,6 @@ func (s *PlateSite) FromSky(k Sky) float64 {
 		return 0
 	}
 	cosInc := k.czd*s.cosTilt + k.szd*s.sinTilt*k.cosAzRel
-	beamFactor := math.Min(3, math.Max(0, cosInc)/k.cosZenClamped)
+	beamFactor := min(3, max(0, cosInc)/k.cosZenClamped)
 	return k.dhi*s.skyView + k.beamH*beamFactor
 }

@@ -132,7 +132,7 @@ func PositionEph(t time.Time, eph Ephemeris, latDeg, lonDeg float64) (zenithDeg,
 	ha := haDeg * degToRad
 
 	cosZen := math.Sin(lat)*math.Sin(decl) + math.Cos(lat)*math.Cos(decl)*math.Cos(ha)
-	cosZen = math.Max(-1, math.Min(1, cosZen))
+	cosZen = max(-1, min(1, cosZen))
 	zen := math.Acos(cosZen)
 
 	// Azimuth from north, clockwise.
@@ -140,7 +140,7 @@ func PositionEph(t time.Time, eph Ephemeris, latDeg, lonDeg float64) (zenithDeg,
 	var az float64
 	if sinZen > 1e-9 {
 		cosAz := (math.Sin(decl) - math.Sin(lat)*cosZen) / (math.Cos(lat) * sinZen)
-		cosAz = math.Max(-1, math.Min(1, cosAz))
+		cosAz = max(-1, min(1, cosAz))
 		az = math.Acos(cosAz) * radToDeg
 		if haDeg > 0 {
 			az = 360 - az
@@ -286,11 +286,11 @@ func PlateOutputEph(t time.Time, eph Ephemeris, latDeg, lonDeg, tiltDeg, azimuth
 	}
 	dhi := diffuseFrac * ghi
 	beamH := ghi - dhi
-	cosZen := math.Max(0.03, math.Cos(zen*degToRad))
+	cosZen := max(0.03, math.Cos(zen*degToRad))
 	cosInc := math.Cos(zen*degToRad)*math.Cos(tiltDeg*degToRad) +
 		math.Sin(zen*degToRad)*math.Sin(tiltDeg*degToRad)*
 			math.Cos((az-azimuthDeg)*degToRad)
-	beamFactor := math.Min(3, math.Max(0, cosInc)/cosZen)
+	beamFactor := min(3, max(0, cosInc)/cosZen)
 	skyView := (1 + math.Cos(tiltDeg*degToRad)) / 2
 	return dhi*skyView + beamH*beamFactor
 }

@@ -190,7 +190,7 @@ func (s *Series) Scale(k float64) *Series {
 // Clamp limits every sample to [lo, hi] and returns s for chaining.
 func (s *Series) Clamp(lo, hi float64) *Series {
 	for i, v := range s.Values {
-		s.Values[i] = math.Max(lo, math.Min(hi, v))
+		s.Values[i] = max(lo, min(hi, v))
 	}
 	return s
 }
@@ -227,7 +227,7 @@ func (s *Series) Max() float64 {
 	}
 	m := s.Values[0]
 	for _, v := range s.Values[1:] {
-		m = math.Max(m, v)
+		m = max(m, v)
 	}
 	return m
 }
@@ -239,7 +239,7 @@ func (s *Series) Min() float64 {
 	}
 	m := s.Values[0]
 	for _, v := range s.Values[1:] {
-		m = math.Min(m, v)
+		m = min(m, v)
 	}
 	return m
 }

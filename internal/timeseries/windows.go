@@ -64,8 +64,8 @@ func statOf(start time.Time, vals []float64) WindowStat {
 	var sum float64
 	for _, v := range vals {
 		sum += v
-		st.Min = math.Min(st.Min, v)
-		st.Max = math.Max(st.Max, v)
+		st.Min = min(st.Min, v)
+		st.Max = max(st.Max, v)
 	}
 	st.Mean = sum / float64(len(vals))
 	var ss, ad float64
@@ -75,7 +75,7 @@ func statOf(start time.Time, vals []float64) WindowStat {
 		if i > 0 {
 			step := math.Abs(v - vals[i-1])
 			ad += step
-			st.MaxAbsDiff = math.Max(st.MaxAbsDiff, step)
+			st.MaxAbsDiff = max(st.MaxAbsDiff, step)
 		}
 	}
 	st.Std = math.Sqrt(ss / float64(len(vals)))

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"privmem/internal/metrics"
+	"privmem/internal/par"
 	"privmem/internal/timeseries"
 )
 
@@ -208,7 +209,7 @@ func (p Point) cloudStep(step int) float64 {
 	v /= math.Sqrt(float64(len(p.modes)) / 2)
 	// Squash the ~N(0,1) value into [0,1] around the configured mean.
 	cloud := p.f.cfg.MeanCloud + 0.35*v
-	return math.Max(0, math.Min(1, cloud))
+	return max(0, min(1, cloud))
 }
 
 // CloudAt returns cloud cover in [0,1] at a location and instant. Instants
@@ -250,13 +251,17 @@ func StationGrid(f *Field, latMin, latMax, lonMin, lonMax, spacingDeg float64) (
 	for lat := latMin; lat <= latMax+1e-9; lat += spacingDeg {
 		for lon := lonMin; lon <= lonMax+1e-9; lon += spacingDeg {
 			out = append(out, Station{
-				Name:  fmt.Sprintf("st-%.2f-%.2f", lat, lon),
-				Lat:   lat,
-				Lon:   lon,
-				Cloud: f.CloudSeries(lat, lon),
+				Name: fmt.Sprintf("st-%.2f-%.2f", lat, lon),
+				Lat:  lat,
+				Lon:  lon,
 			})
 		}
 	}
+	// Each station's history is a pure read of the field.
+	_ = par.For(len(out), func(i int) error {
+		out[i].Cloud = f.CloudSeries(out[i].Lat, out[i].Lon)
+		return nil
+	})
 	return out, nil
 }
 
