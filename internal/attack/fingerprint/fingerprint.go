@@ -136,12 +136,9 @@ func Train(lab *nettrace.Capture, window time.Duration) (*Classifier, error) {
 // Window returns the feature window the classifier was trained at.
 func (c *Classifier) Window() time.Duration { return c.window }
 
-// ScoreVector returns the nearest-centroid class for one raw feature vector
-// (as produced by Features.Vector) together with the squared z-space distance
-// to the winning centroid. The distance is the classifier's confidence
-// signal: the streaming identifier tracks it per window as a live z-score of
-// how sharply a device's traffic matches its inferred class.
-func (c *Classifier) ScoreVector(v []float64) (nettrace.Class, float64) {
+// classifyVector returns the nearest-centroid class for one raw feature
+// vector (as produced by Features.Vector), measured in z-scored space.
+func (c *Classifier) classifyVector(v []float64) nettrace.Class {
 	best, bestD := 0, math.Inf(1)
 	for i, centroid := range c.centroids {
 		var d float64
@@ -153,13 +150,7 @@ func (c *Classifier) ScoreVector(v []float64) (nettrace.Class, float64) {
 			best, bestD = i, d
 		}
 	}
-	return c.classes[best], bestD
-}
-
-// classifyVector returns the best class for one z-scored feature vector.
-func (c *Classifier) classifyVector(v []float64) nettrace.Class {
-	class, _ := c.ScoreVector(v)
-	return class
+	return c.classes[best]
 }
 
 // ClassifyDevice labels a device by majority vote over its windows.
@@ -206,28 +197,12 @@ type Identification struct {
 }
 
 // identifyFeatures scores one per-device classify function over
-// pre-extracted victim features. dropped lists classes the classifier could
-// not learn: their devices are predicted but flagged and excluded from the
-// accuracy accounting.
+// pre-extracted victim features, walking the victim's device list in order
+// (devices the attacker never saw traffic from are skipped). dropped lists
+// classes the classifier could not learn: their devices are predicted but
+// flagged and excluded from the accuracy accounting.
 func identifyFeatures(victim *nettrace.Capture, feats map[string][]nettrace.Features,
 	classify func([]nettrace.Features) (nettrace.Class, error), dropped []nettrace.Class, label string) (*Identification, error) {
-	return scoreDevices(victim, func(name string) (nettrace.Class, bool, error) {
-		fs, ok := feats[name]
-		if !ok {
-			return 0, false, nil
-		}
-		pred, err := classify(fs)
-		return pred, true, err
-	}, dropped, label)
-}
-
-// scoreDevices walks the victim's device list in order, asks predict for each
-// device's inferred class (observed=false skips a device the attacker never
-// saw traffic from), and assembles the Identification accounting. Both the
-// batch path (identifyFeatures) and the streaming identifier's Finalize run
-// exactly this loop, so their scores cannot drift apart.
-func scoreDevices(victim *nettrace.Capture, predict func(name string) (pred nettrace.Class, observed bool, err error),
-	dropped []nettrace.Class, label string) (*Identification, error) {
 	droppedSet := map[nettrace.Class]bool{}
 	for _, class := range dropped {
 		droppedSet[class] = true
@@ -241,12 +216,13 @@ func scoreDevices(victim *nettrace.Capture, predict func(name string) (pred nett
 	totalByClass := map[nettrace.Class]int{}
 	var correct, total int
 	for _, dev := range victim.Devices {
-		pred, ok, err := predict(dev.Name)
-		if err != nil {
-			return nil, fmt.Errorf("%s %q: %w", label, dev.Name, err)
-		}
+		fs, ok := feats[dev.Name]
 		if !ok {
 			continue
+		}
+		pred, err := classify(fs)
+		if err != nil {
+			return nil, fmt.Errorf("%s %q: %w", label, dev.Name, err)
 		}
 		out.Predicted[dev.Name] = pred
 		if droppedSet[dev.Class] {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"privmem/internal/hmm"
 	"privmem/internal/metrics"
 	"privmem/internal/timeseries"
 )
@@ -134,6 +135,18 @@ func DetectThreshold(power *timeseries.Series, cfg Config) (*timeseries.Series, 
 	// shared with the streaming detector: see thresholdLabels in stream.go.
 	labels := thresholdLabels(compactStats(ws, nil), cfg, &Scratch{})
 	return expandLabels(power, cfg.Window, labels), nil
+}
+
+// occupancyModel returns the fixed sticky two-state occupancy chain of
+// DetectHMM [14]: occupied periods emit activity evidence often but not
+// always, unoccupied periods rarely.
+func occupancyModel() *hmm.Model {
+	return &hmm.Model{
+		Initial: []float64{0.5, 0.5},
+		Trans:   [][]float64{{0.92, 0.08}, {0.08, 0.92}},
+		Means:   []float64{0.05, 0.75},
+		Stds:    []float64{0.3, 0.45},
+	}
 }
 
 // DetectHMM runs the HMM detector of [14]: per-window activity evidence is

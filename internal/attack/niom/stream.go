@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"privmem/internal/hmm"
 	"privmem/internal/timeseries"
 )
 
@@ -170,52 +169,13 @@ func thresholdLabels(ws []WStat, cfg Config, sc *Scratch) []float64 {
 	return smoothMajorityInto(&sc.smooth, rawLabels(ws, cfg, sc), cfg.SmoothWindows)
 }
 
-// occupancyModel returns the fixed sticky two-state occupancy chain of
-// DetectHMM [14]: occupied periods emit activity evidence often but not
-// always, unoccupied periods rarely.
-func occupancyModel() *hmm.Model {
-	return &hmm.Model{
-		Initial: []float64{0.5, 0.5},
-		Trans:   [][]float64{{0.92, 0.08}, {0.08, 0.92}},
-		Means:   []float64{0.05, 0.75},
-		Stds:    []float64{0.3, 0.45},
-	}
-}
-
-// hmmLastLabel decodes the activity evidence of a window view through the
-// sticky occupancy chain and returns the final window's state. Views shorter
-// than the HMM detector's 8-window minimum fall back to the raw evidence
-// label — the documented warm-up behavior of the online detector, mirrored
-// exactly by SlidingHMM.
-func hmmLastLabel(model *hmm.Model, view []WStat, cfg Config, sc *Scratch) float64 {
-	evidence := rawLabels(view, cfg, sc)
-	last := evidence[len(evidence)-1]
-	if len(evidence) < 8 {
-		return last
-	}
-	path, _, err := model.Viterbi(evidence)
-	if err != nil {
-		// Unreachable with the fixed valid model and non-empty evidence;
-		// kept so a future model edit degrades to evidence, not a panic.
-		return last
-	}
-	if path[len(path)-1] == 1 {
-		return 1
-	}
-	return 0
-}
-
-// Mode selects which detector a Stream runs per window boundary.
+// Mode selects the detector a Stream runs per window boundary. ModeThreshold
+// is the only one; NewStream rejects any other value.
 type Mode int
 
-const (
-	// ModeThreshold runs the threshold detector of [1] over the trailing
-	// history at each boundary.
-	ModeThreshold Mode = iota
-	// ModeHMM runs the sticky-chain Viterbi detector of [14] over the
-	// trailing history at each boundary.
-	ModeHMM
-)
+// ModeThreshold runs the threshold detector of [1] over the trailing
+// history at each boundary.
+const ModeThreshold Mode = 0
 
 // Stream is the online NIOM detector: power samples are pushed one at a time
 // and at every completed window it emits the occupancy label the batch
@@ -224,23 +184,21 @@ const (
 // WStats — fixed at construction, independent of how long the stream runs —
 // which is the bounded-memory contract the fleet pipeline builds on.
 //
-// Two laws pin the stream to the batch detectors, both enforced bit-exactly
+// Two laws pin the stream to the batch detector, both enforced bit-exactly
 // by the golden tests:
 //
 //   - a Stream fed a series sample-by-sample emits exactly
-//     SlidingThreshold/SlidingHMM of that series, label for label;
+//     SlidingThreshold of that series, label for label;
 //   - with history >= the total window count, the final emitted label equals
-//     the final window's label from DetectThreshold/DetectHMM (smoothing at
-//     the last window is one-sided in both, so the trailing view sees
-//     everything the batch detector saw).
+//     the final window's label from DetectThreshold (smoothing at the last
+//     window is one-sided in both, so the trailing view sees everything the
+//     batch detector saw).
 //
 // A Stream is not safe for concurrent use; each home owns one.
 type Stream struct {
 	cfg     Config
-	mode    Mode
 	k       int // samples per window
 	history int
-	model   *hmm.Model // ModeHMM only
 	ring    []WStat
 	windows int // windows closed so far
 
@@ -268,21 +226,16 @@ func NewStream(cfg Config, step time.Duration, history int, mode Mode) (*Stream,
 	if history < 1 {
 		return nil, fmt.Errorf("niom stream: %w: history %d", ErrBadConfig, history)
 	}
-	if mode != ModeThreshold && mode != ModeHMM {
+	if mode != ModeThreshold {
 		return nil, fmt.Errorf("niom stream: %w: mode %d", ErrBadConfig, mode)
 	}
 	cfg.Window = effectiveWindow(cfg.Window, step)
-	s := &Stream{
+	return &Stream{
 		cfg:     cfg,
-		mode:    mode,
 		k:       int(cfg.Window / step),
 		history: history,
 		ring:    make([]WStat, history),
-	}
-	if mode == ModeHMM {
-		s.model = occupancyModel()
-	}
-	return s, nil
+	}, nil
 }
 
 // WindowSamples returns how many samples make one window.
@@ -315,27 +268,15 @@ func (s *Stream) Push(v float64, sc *Scratch) (label float64, boundary bool) {
 	for i := 0; i < m; i++ {
 		view[i] = s.ring[(s.windows-m+i)%s.history]
 	}
-	if s.mode == ModeHMM {
-		return hmmLastLabel(s.model, view, s.cfg, sc), true
-	}
 	lbls := thresholdLabels(view, s.cfg, sc)
 	return lbls[len(lbls)-1], true
 }
 
-// SlidingThreshold is the batch counterpart of a ModeThreshold Stream: for
-// each full window i of the series it runs the threshold pipeline over the
-// trailing min(i+1, history) windows and records the final label. Golden
-// tests hold a Stream to this, bit for bit.
+// SlidingThreshold is the batch counterpart of a Stream: for each full
+// window i of the series it runs the threshold pipeline over the trailing
+// min(i+1, history) windows and records the final label. Golden tests hold
+// a Stream to this, bit for bit.
 func SlidingThreshold(power *timeseries.Series, cfg Config, history int) ([]float64, error) {
-	return slidingLabels(power, cfg, history, ModeThreshold)
-}
-
-// SlidingHMM is the batch counterpart of a ModeHMM Stream.
-func SlidingHMM(power *timeseries.Series, cfg Config, history int) ([]float64, error) {
-	return slidingLabels(power, cfg, history, ModeHMM)
-}
-
-func slidingLabels(power *timeseries.Series, cfg Config, history int, mode Mode) ([]float64, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("niom sliding: %w", err)
@@ -350,16 +291,9 @@ func slidingLabels(power *timeseries.Series, cfg Config, history int, mode Mode)
 	}
 	all := compactStats(ws, nil)
 	sc := &Scratch{}
-	model := occupancyModel()
 	out := make([]float64, len(ws))
 	for i := range all {
-		lo := max(0, i+1-history)
-		view := all[lo : i+1]
-		if mode == ModeHMM {
-			out[i] = hmmLastLabel(model, view, cfg, sc)
-			continue
-		}
-		lbls := thresholdLabels(view, cfg, sc)
+		lbls := thresholdLabels(all[max(0, i+1-history):i+1], cfg, sc)
 		out[i] = lbls[len(lbls)-1]
 	}
 	return out, nil

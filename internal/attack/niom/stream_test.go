@@ -8,25 +8,19 @@ import (
 	"privmem/internal/timeseries"
 )
 
-// streamGolden runs the online==batch law for one mode: a Stream fed the
-// series sample-by-sample must emit exactly the sliding batch labels.
-func streamGolden(t *testing.T, mode Mode, history int) {
+// streamGolden runs the online==batch law: a Stream fed the series
+// sample-by-sample must emit exactly the sliding batch labels.
+func streamGolden(t *testing.T, history int) {
 	t.Helper()
 	power, _ := meteredHome(t, 41, 5)
 	cfg := DefaultConfig()
 
-	var want []float64
-	var err error
-	if mode == ModeHMM {
-		want, err = SlidingHMM(power, cfg, history)
-	} else {
-		want, err = SlidingThreshold(power, cfg, history)
-	}
+	want, err := SlidingThreshold(power, cfg, history)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := NewStream(cfg, power.Step, history, mode)
+	s, err := NewStream(cfg, power.Step, history, ModeThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +36,8 @@ func streamGolden(t *testing.T, mode Mode, history int) {
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("mode=%d history=%d: window %d: stream %v != batch %v",
-				mode, history, i, got[i], want[i])
+			t.Fatalf("history=%d: window %d: stream %v != batch %v",
+				history, i, got[i], want[i])
 		}
 	}
 }
@@ -52,16 +46,7 @@ func streamGolden(t *testing.T, mode Mode, history int) {
 // counterpart bit for bit at several baseline horizons.
 func TestStreamMatchesSlidingThreshold(t *testing.T) {
 	for _, h := range []int{1, 4, 16, 97} {
-		streamGolden(t, ModeThreshold, h)
-	}
-}
-
-// TestStreamMatchesSlidingHMM pins the HMM stream, including the <8-window
-// warm-up fallback (history 4 never reaches the Viterbi path; history 16
-// crosses it mid-stream).
-func TestStreamMatchesSlidingHMM(t *testing.T) {
-	for _, h := range []int{4, 16, 64} {
-		streamGolden(t, ModeHMM, h)
+		streamGolden(t, h)
 	}
 }
 
@@ -78,40 +63,31 @@ func TestStreamFullHistoryMatchesDetect(t *testing.T) {
 		t.Fatalf("trace too short: %d windows", nWin)
 	}
 
-	for _, tc := range []struct {
-		mode   Mode
-		detect func(*timeseries.Series, Config) (*timeseries.Series, error)
-	}{
-		{ModeThreshold, DetectThreshold},
-		{ModeHMM, DetectHMM},
-	} {
-		batch, err := tc.detect(power, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The batch label of the last full window is the expanded series
-		// value at that window's first sample.
-		want := batch.Values[(nWin-1)*k]
+	batch, err := DetectThreshold(power, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch label of the last full window is the expanded series value
+	// at that window's first sample.
+	want := batch.Values[(nWin-1)*k]
 
-		s, err := NewStream(cfg, step, nWin, tc.mode)
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewStream(cfg, step, nWin, ModeThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	seen := 0
+	for _, v := range power.Values {
+		if l, ok := s.Push(v, nil); ok {
+			got = l
+			seen++
 		}
-		var got float64
-		seen := 0
-		for _, v := range power.Values {
-			if l, ok := s.Push(v, nil); ok {
-				got = l
-				seen++
-			}
-		}
-		if seen != nWin {
-			t.Fatalf("mode=%d: stream closed %d windows, want %d", tc.mode, seen, nWin)
-		}
-		if got != want {
-			t.Fatalf("mode=%d: final stream label %v != batch final-window label %v",
-				tc.mode, got, want)
-		}
+	}
+	if seen != nWin {
+		t.Fatalf("stream closed %d windows, want %d", seen, nWin)
+	}
+	if got != want {
+		t.Fatalf("final stream label %v != batch final-window label %v", got, want)
 	}
 }
 

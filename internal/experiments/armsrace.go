@@ -37,9 +37,9 @@ const armsRaceDefenseCount = 4
 // gateway.ShapeConfig.CellBytes).
 const armsRaceCellBytes = 200_000
 
-// armsRaceWorkload bundles the memoized arms-race world; consumers read
-// only. Index k of labs/victims is the capture as seen behind defense
-// generation k.
+// armsRaceWorkload bundles the arms-race world; consumers read only.
+// Index k of labs/victims is the capture as seen behind defense generation
+// k.
 type armsRaceWorkload struct {
 	tr       *home.Trace
 	labels   [armsRaceDefenseCount]string
@@ -48,52 +48,44 @@ type armsRaceWorkload struct {
 	overhead [armsRaceDefenseCount]float64
 }
 
-// armsRaceWorld builds the generation×generation world: the shared §IV
-// lab/victim pair (nested behind its own memo key), then both captures as
-// reshaped by each defense generation. The attacker's lab runs its own STP
-// instance, so its padding stream is seeded independently of the victim's
-// deployment — the attacker learns the defense's distribution, never its
-// concrete coin flips.
-func armsRaceWorld(opts Options) (*armsRaceWorkload, error) {
-	return memoWorld(memoKey("armsrace", opts), func() (*armsRaceWorkload, error) {
-		lab, victim, tr, err := networkWorld(opts)
-		if err != nil {
-			return nil, err
-		}
-		w := &armsRaceWorkload{tr: tr}
-		w.labels = [armsRaceDefenseCount]string{
-			"D0 none", "D1 gateway per-device", "D2 gateway bucketed", "D3 stochastic padding",
-		}
-		w.labs[0], w.victims[0] = lab, victim
+// armsRaceWorld builds the generation×generation world from the §IV
+// lab/victim pair: both captures as reshaped by each defense generation.
+// The attacker's lab runs its own STP instance, so its padding stream is
+// seeded independently of the victim's deployment — the attacker learns the
+// defense's distribution, never its concrete coin flips.
+func armsRaceWorld(seed int64, lab, victim *nettrace.Capture, tr *home.Trace) (*armsRaceWorkload, error) {
+	w := &armsRaceWorkload{tr: tr}
+	w.labels = [armsRaceDefenseCount]string{
+		"D0 none", "D1 gateway per-device", "D2 gateway bucketed", "D3 stochastic padding",
+	}
+	w.labs[0], w.victims[0] = lab, victim
 
-		for k, cfg := range []gateway.ShapeConfig{
-			{},                             // D1: per-device constant-rate envelopes
-			{CellBytes: armsRaceCellBytes}, // D2: + linear bucket padding
-		} {
-			gen := k + 1
-			sl, _, err := gateway.Shape(lab, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("arms race D%d lab: %w", gen, err)
-			}
-			sv, rep, err := gateway.Shape(victim, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("arms race D%d victim: %w", gen, err)
-			}
-			w.labs[gen], w.victims[gen], w.overhead[gen] = sl, sv, rep.PaddingOverhead
+	for k, cfg := range []gateway.ShapeConfig{
+		{},                             // D1: per-device constant-rate envelopes
+		{CellBytes: armsRaceCellBytes}, // D2: + linear bucket padding
+	} {
+		gen := k + 1
+		sl, _, err := gateway.Shape(lab, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("arms race D%d lab: %w", gen, err)
 		}
+		sv, rep, err := gateway.Shape(victim, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("arms race D%d victim: %w", gen, err)
+		}
+		w.labs[gen], w.victims[gen], w.overhead[gen] = sl, sv, rep.PaddingOverhead
+	}
 
-		seed := opts.seed()
-		pl, _, err := stp.Pad(lab, stp.DefaultConfig(subSeed(seed, "stp lab")))
-		if err != nil {
-			return nil, fmt.Errorf("arms race D3 lab: %w", err)
-		}
-		pv, rep, err := stp.Pad(victim, stp.DefaultConfig(subSeed(seed, "stp victim")))
-		if err != nil {
-			return nil, fmt.Errorf("arms race D3 victim: %w", err)
-		}
-		w.labs[3], w.victims[3], w.overhead[3] = pl, pv, rep.PaddingOverhead
-		return w, nil
-	})
+	pl, _, err := stp.Pad(lab, stp.DefaultConfig(subSeed(seed, "stp lab")))
+	if err != nil {
+		return nil, fmt.Errorf("arms race D3 lab: %w", err)
+	}
+	pv, rep, err := stp.Pad(victim, stp.DefaultConfig(subSeed(seed, "stp victim")))
+	if err != nil {
+		return nil, fmt.Errorf("arms race D3 victim: %w", err)
+	}
+	w.labs[3], w.victims[3], w.overhead[3] = pl, pv, rep.PaddingOverhead
+	return w, nil
 }
 
 // ArmsRaceMatrix reproduces the adaptive-adversary arms race: attacker
@@ -110,7 +102,11 @@ func armsRaceWorld(opts Options) (*armsRaceWorkload, error) {
 // channel in the first place, so retraining buys the attacker nothing —
 // its contribution is the occupancy-MCC collapse at event scale.
 func ArmsRaceMatrix(opts Options) (*Report, error) {
-	w, err := armsRaceWorld(opts)
+	lab, victim, tr, err := networkWorld(opts)
+	if err != nil {
+		return nil, fmt.Errorf("arms race: %w", err)
+	}
+	w, err := armsRaceWorld(opts.seed(), lab, victim, tr)
 	if err != nil {
 		return nil, fmt.Errorf("arms race: %w", err)
 	}

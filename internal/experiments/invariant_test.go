@@ -76,8 +76,8 @@ func TestPropArmsRaceDeterministic(t *testing.T) {
 }
 
 // TestPropOnlineNIOMEquivalent replays a recorded metered home through the
-// streaming NIOM detector in both modes and requires bit-identity with the
-// batch sliding detectors at every window boundary.
+// streaming NIOM detector and requires bit-identity with the batch sliding
+// detector at every window boundary.
 func TestPropOnlineNIOMEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online equivalence sweep is not short")
@@ -97,19 +97,6 @@ func TestPropOnlineFHMMEquivalent(t *testing.T) {
 	}
 	for _, seed := range []int64{0, 13, 42} {
 		if err := suite.OnlineFHMMEquivalent(seed); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-// TestPropOnlineFingerprintEquivalent pins the streaming device identifier
-// and occupancy detector to their batch counterparts on a recorded capture.
-func TestPropOnlineFingerprintEquivalent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("online equivalence sweep is not short")
-	}
-	for _, seed := range []int64{5, 42} {
-		if err := suite.OnlineFingerprintEquivalent(seed); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

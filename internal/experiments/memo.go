@@ -14,6 +14,11 @@ import (
 // RunAll invocations, benchmark iterations, and report-cache misses in the
 // serving daemon.
 //
+// Only base worlds are memoized: builders that simulate from a seed. Results
+// derived from a base world (trained classifiers, shaped captures, attack
+// scores) are plain functions that take that world as an argument, so each
+// experiment fetches its base world once and recomputes them.
+//
 // Worlds are shared READ-ONLY: every consumer audited here either clones
 // its input or writes only series it allocates itself (see DESIGN.md §7).
 // A builder that grows a world with a mutating consumer must stop memoizing
@@ -24,11 +29,10 @@ import (
 // cached — the entry is removed before waiters are released, so the next
 // caller rebuilds.
 
-// worldMemoCap bounds retained worlds. A full suite pass touches ~25
-// distinct keys (t8/t9 derive different seeds, so "shared" builders still
-// produce one world per experiment id, and the derived classifier/shaping
-// worlds add several more); the cap must exceed that working set or
-// repeated passes thrash the FIFO.
+// worldMemoCap bounds retained worlds. A full suite pass touches under 20
+// distinct keys (t8, t9 and ar1 derive different seeds, so "shared"
+// builders still produce one world per experiment id); the cap must exceed
+// that working set or repeated passes thrash the FIFO.
 const worldMemoCap = 64
 
 type memoEntry struct {

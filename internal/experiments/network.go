@@ -22,9 +22,11 @@ type networkWorkload struct {
 
 // networkWorld builds the shared §IV workload: a lab capture for attacker
 // training, and a victim ~40-device LAN coupled to a real home's activity.
-// The world is memoized on (seed, quick); t8 and t9 derive different seeds
-// under RunAll, so the memo pays off across repeated runs, not within one
-// suite pass.
+// The world is memoized on (seed, quick). Each experiment fetches it once
+// and hands it to the worlds derived from it, and t8, t9 and ar1 derive
+// different seeds under RunAll, so the memo pays off across repeated runs
+// (serving-tier cache misses, benchmark iterations), not within one suite
+// pass.
 func networkWorld(opts Options) (lab, victim *nettrace.Capture, tr *home.Trace, err error) {
 	w, err := memoWorld(memoKey("network", opts), func() (*networkWorkload, error) {
 		l, v, t, err := networkWorldUncached(opts)
@@ -78,123 +80,97 @@ func networkWorldUncached(opts Options) (lab, victim *nettrace.Capture, tr *home
 }
 
 // netClassifiers bundles the attacker models trained on the lab capture.
-// Training is a deterministic pure function of the (memoized) lab capture,
-// and both classifiers are read-only after Train, so memoizing the trained
-// models is as sound as memoizing the capture itself.
+// Both classifiers are read-only after Train.
 type netClassifiers struct {
 	clf   *fingerprint.Classifier
 	bayes *fingerprint.BayesClassifier
 }
 
-func netClassifierWorld(opts Options) (*netClassifiers, error) {
-	return memoWorld(memoKey("netclf", opts), func() (*netClassifiers, error) {
-		lab, _, _, err := networkWorld(opts)
-		if err != nil {
-			return nil, err
-		}
-		var nc netClassifiers
-		err = par.Do(func() (err error) {
-			nc.clf, err = fingerprint.Train(lab, time.Hour)
-			return err
-		}, func() (err error) {
-			nc.bayes, err = fingerprint.TrainBayes(lab, time.Hour)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &nc, nil
+// netClassifierWorld trains both attacker models on the lab capture.
+func netClassifierWorld(lab *nettrace.Capture) (*netClassifiers, error) {
+	var nc netClassifiers
+	err := par.Do(func() (err error) {
+		nc.clf, err = fingerprint.Train(lab, time.Hour)
+		return err
+	}, func() (err error) {
+		nc.bayes, err = fingerprint.TrainBayes(lab, time.Hour)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &nc, nil
 }
 
-// gatewayDetection is the memoized compromise-detection leg of t9: the
-// injected capture, the monitor scan, and the first-alert latencies. All of
-// it is a pure function of (seed, quick); consumers only read the map.
-type gatewayDetection struct {
-	latency map[string]time.Duration
-}
-
-func gatewayDetectWorld(opts Options) (*gatewayDetection, error) {
-	return memoWorld(memoKey("gwdetect", opts), func() (*gatewayDetection, error) {
-		seed := opts.seed()
-		_, victim, tr, err := networkWorld(opts)
-		if err != nil {
-			return nil, err
-		}
-		atkCfg := nettrace.DefaultConfig(seed + 4)
-		atkCfg.Days = 3
-		atkCfg.Activity = tr.Active
-		at := atkCfg.Start.Add(30 * time.Hour)
-		atkCfg.Compromises = []nettrace.Compromise{
-			{Device: "camera-02", At: at, Kind: nettrace.CompromiseExfil},
-			{Device: "smart-plug-03", At: at, Kind: nettrace.CompromiseScan},
-			{Device: "bulb-05", At: at, Kind: nettrace.CompromiseBot},
-		}
-		// Profiles learned from the clean victim capture and the
-		// compromised capture are independent until the scan.
-		var mon *gateway.Monitor
-		var compromised *nettrace.Capture
-		err = par.Do(func() (err error) {
-			mon, err = gateway.LearnProfiles(victim, gateway.DefaultMonitorConfig())
-			return err
-		}, func() (err error) {
-			compromised, err = nettrace.Simulate(atkCfg)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		alerts, err := mon.Scan(compromised)
-		if err != nil {
-			return nil, err
-		}
-		latency := map[string]time.Duration{}
-		for _, a := range alerts {
-			if _, ok := latency[a.Device]; !ok && !a.At.Before(at) {
-				latency[a.Device] = a.At.Sub(at)
-			}
-		}
-		return &gatewayDetection{latency: latency}, nil
+// gatewayDetectWorld runs t9's compromise-detection leg against the victim
+// world: it simulates a compromised capture from seed, scans it with
+// profiles learned from the clean victim capture, and returns each
+// compromised device's first-alert latency.
+func gatewayDetectWorld(seed int64, victim *nettrace.Capture, tr *home.Trace) (map[string]time.Duration, error) {
+	atkCfg := nettrace.DefaultConfig(seed + 4)
+	atkCfg.Days = 3
+	atkCfg.Activity = tr.Active
+	at := atkCfg.Start.Add(30 * time.Hour)
+	atkCfg.Compromises = []nettrace.Compromise{
+		{Device: "camera-02", At: at, Kind: nettrace.CompromiseExfil},
+		{Device: "smart-plug-03", At: at, Kind: nettrace.CompromiseScan},
+		{Device: "bulb-05", At: at, Kind: nettrace.CompromiseBot},
+	}
+	// Profiles learned from the clean victim capture and the compromised
+	// capture are independent until the scan.
+	var mon *gateway.Monitor
+	var compromised *nettrace.Capture
+	err := par.Do(func() (err error) {
+		mon, err = gateway.LearnProfiles(victim, gateway.DefaultMonitorConfig())
+		return err
+	}, func() (err error) {
+		compromised, err = nettrace.Simulate(atkCfg)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	alerts, err := mon.Scan(compromised)
+	if err != nil {
+		return nil, err
+	}
+	latency := map[string]time.Duration{}
+	for _, a := range alerts {
+		if _, ok := latency[a.Device]; !ok && !a.At.Before(at) {
+			latency[a.Device] = a.At.Sub(at)
+		}
+	}
+	return latency, nil
 }
 
-// shapedWorld is one memoized shaping of the victim capture with its cost
-// report. The shaped capture is read-only downstream (Identify and
-// InferOccupancy only extract features).
+// shapedWorld is one shaping of the victim capture with its cost report.
+// The shaped capture is read-only downstream (Identify and InferOccupancy
+// only extract features).
 type shapedWorld struct {
 	cap    *nettrace.Capture
 	report *gateway.ShapeReport
 }
 
-func gatewayShapeWorld(opts Options, uniform bool) (*shapedWorld, error) {
-	name := "gwshape-perdevice"
-	if uniform {
-		name = "gwshape-uniform"
+// gatewayShapeWorld shapes the victim capture per device or uniformly.
+func gatewayShapeWorld(victim *nettrace.Capture, uniform bool) (*shapedWorld, error) {
+	cfg := gateway.DefaultShapeConfig()
+	cfg.Uniform = uniform
+	sc, report, err := gateway.Shape(victim, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return memoWorld(memoKey(name, opts), func() (*shapedWorld, error) {
-		_, victim, _, err := networkWorld(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg := gateway.DefaultShapeConfig()
-		cfg.Uniform = uniform
-		sc, report, err := gateway.Shape(victim, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &shapedWorld{cap: sc, report: report}, nil
-	})
+	return &shapedWorld{cap: sc, report: report}, nil
 }
 
 // TableFingerprint reproduces the §IV passive-monitoring threat: a
 // metadata-only observer identifies the devices on a ~40-device LAN and
 // infers occupancy from their traffic.
 func TableFingerprint(opts Options) (*Report, error) {
-	_, victim, tr, err := networkWorld(opts)
+	lab, victim, tr, err := networkWorld(opts)
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
-	nc, err := netClassifierWorld(opts)
+	nc, err := netClassifierWorld(lab)
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
@@ -251,17 +227,17 @@ func TableFingerprint(opts Options) (*Report, error) {
 // detection latency per behaviour, and the shaping defense's
 // privacy/overhead tradeoff against the fingerprinting attack.
 func TableGateway(opts Options) (*Report, error) {
-	_, victim, tr, err := networkWorld(opts)
+	lab, victim, tr, err := networkWorld(opts)
 	if err != nil {
 		return nil, fmt.Errorf("table gateway: %w", err)
 	}
 
-	// Every world below reads only the memoized victim capture, so the
+	// Every world below reads only the memoized network world, so the
 	// worlds build concurrently, then the attacks on the unshaped and the
 	// two shaped captures run concurrently. Results land in fixed slots and
 	// the rows are assembled in a fixed order.
 	var (
-		det      *gatewayDetection
+		latency  map[string]time.Duration
 		nc       *netClassifiers
 		occPlain *timeseries.Series
 	)
@@ -271,16 +247,16 @@ func TableGateway(opts Options) (*Report, error) {
 	}{{"shaped (per-device)", "per_device", false}, {"shaped (uniform)", "uniform", true}}
 	sws := make([]*shapedWorld, len(modes))
 	err = par.Do(func() (err error) {
-		det, err = gatewayDetectWorld(opts)
+		latency, err = gatewayDetectWorld(opts.seed(), victim, tr)
 		return err
 	}, func() (err error) {
-		nc, err = netClassifierWorld(opts)
+		nc, err = netClassifierWorld(lab)
 		return err
 	}, func() (err error) {
-		sws[0], err = gatewayShapeWorld(opts, modes[0].uniform)
+		sws[0], err = gatewayShapeWorld(victim, modes[0].uniform)
 		return err
 	}, func() (err error) {
-		sws[1], err = gatewayShapeWorld(opts, modes[1].uniform)
+		sws[1], err = gatewayShapeWorld(victim, modes[1].uniform)
 		return err
 	}, func() (err error) {
 		occPlain, err = fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
@@ -289,7 +265,6 @@ func TableGateway(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table gateway: %w", err)
 	}
-	latency := det.latency
 	evPlain, err := niom.EvaluateDaytime(tr.Occupancy, occPlain, 8, 23)
 	if err != nil {
 		return nil, fmt.Errorf("table gateway: %w", err)

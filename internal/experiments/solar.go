@@ -86,40 +86,31 @@ type siteLocalization struct {
 	ssKm, wmKm float64
 }
 
-// solarLocWorld runs both localization attacks over the memoized fleet
-// world and memoizes the per-site error distances. The attacks are pure
-// functions of the (memoized, read-only) telemetry, so caching their
-// outcomes is output-transparent — the law RunAllMemoTransparent pins it —
-// and it removes the dominant per-pass trigonometry from a warm RunAll.
-// Sites are independent, so they localize concurrently.
-func solarLocWorld(opts Options) ([]siteLocalization, error) {
-	return memoWorld(memoKey("solarloc", opts), func() ([]siteLocalization, error) {
-		w, err := solarFleetWorld(opts)
-		if err != nil {
-			return nil, err
+// solarLocWorld runs both localization attacks over the fleet world and
+// returns the per-site error distances. Sites are independent, so they
+// localize concurrently.
+func solarLocWorld(w *solarFleetWorkload) ([]siteLocalization, error) {
+	locs := make([]siteLocalization, len(w.sites))
+	err := par.For(len(w.sites), func(i int) error {
+		s, gen := w.sites[i], w.gens[i]
+		loc := siteLocalization{ssKm: -1, wmKm: -1}
+		if est, err := sunspot.Localize(gen, sunspot.DefaultConfig()); err == nil {
+			loc.ssKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
 		}
-		locs := make([]siteLocalization, len(w.sites))
-		err = par.For(len(w.sites), func(i int) error {
-			s, gen := w.sites[i], w.gens[i]
-			loc := siteLocalization{ssKm: -1, wmKm: -1}
-			if est, err := sunspot.Localize(gen, sunspot.DefaultConfig()); err == nil {
-				loc.ssKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
-			}
-			hourly, err := gen.Resample(time.Hour)
-			if err != nil {
-				return err
-			}
-			if est, err := weatherman.Localize(hourly, w.stations, weatherman.DefaultConfig()); err == nil {
-				loc.wmKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
-			}
-			locs[i] = loc
-			return nil
-		})
+		hourly, err := gen.Resample(time.Hour)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return locs, nil
+		if est, err := weatherman.Localize(hourly, w.stations, weatherman.DefaultConfig()); err == nil {
+			loc.wmKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
+		}
+		locs[i] = loc
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return locs, nil
 }
 
 // Figure5Localization reproduces Figure 5: localization error (km) for 10
@@ -129,7 +120,7 @@ func Figure5Localization(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figure 5: %w", err)
 	}
-	locs, err := solarLocWorld(opts)
+	locs, err := solarLocWorld(w)
 	if err != nil {
 		return nil, fmt.Errorf("figure 5: %w", err)
 	}
@@ -181,7 +172,7 @@ func TableSunDance(opts Options) (*Report, error) {
 			"low error factors mean 'anonymized' net-meter data is separable into components, so it is not anonymous",
 		},
 	}
-	scores, err := sundanceScoreWorld(opts)
+	scores, err := sundanceScoreWorld(w)
 	if err != nil {
 		return nil, fmt.Errorf("table sundance: %w", err)
 	}
@@ -208,44 +199,36 @@ type sundanceScore struct {
 	locKm           float64
 }
 
-// sundanceScoreWorld runs the SunDance attack over the memoized t3 world
-// and memoizes the per-home scores. Disaggregate is a pure function of the
-// (read-only) net stream and station grid, so the cache is
-// output-transparent; homes score concurrently.
-func sundanceScoreWorld(opts Options) ([]sundanceScore, error) {
-	return memoWorld(memoKey("sundisagg", opts), func() ([]sundanceScore, error) {
-		w, err := sundanceWorld(opts)
+// sundanceScoreWorld runs the SunDance attack over the t3 world and
+// returns the per-home scores; homes score concurrently.
+func sundanceScoreWorld(w *sundanceWorkload) ([]sundanceScore, error) {
+	scores := make([]sundanceScore, len(w.homes))
+	err := par.For(len(w.homes), func(i int) error {
+		h := w.homes[i]
+		res, err := sundance.Disaggregate(h.net, w.stations, sundance.DefaultConfig())
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("home %d: %w", i, err)
 		}
-		scores := make([]sundanceScore, len(w.homes))
-		err = par.For(len(w.homes), func(i int) error {
-			h := w.homes[i]
-			res, err := sundance.Disaggregate(h.net, w.stations, sundance.DefaultConfig())
-			if err != nil {
-				return fmt.Errorf("home %d: %w", i, err)
-			}
-			ge, err := metrics.DisaggregationError(h.genH.Values, res.Generation.Values)
-			if err != nil {
-				return err
-			}
-			ce, err := metrics.DisaggregationError(h.consH.Values, res.Consumption.Values)
-			if err != nil {
-				return err
-			}
-			scores[i] = sundanceScore{
-				genErr:    ge,
-				consErr:   ce,
-				capacityW: res.CapacityW,
-				locKm:     metrics.HaversineKm(h.site.Lat, h.site.Lon, res.Lat, res.Lon),
-			}
-			return nil
-		})
+		ge, err := metrics.DisaggregationError(h.genH.Values, res.Generation.Values)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return scores, nil
+		ce, err := metrics.DisaggregationError(h.consH.Values, res.Consumption.Values)
+		if err != nil {
+			return err
+		}
+		scores[i] = sundanceScore{
+			genErr:    ge,
+			consErr:   ce,
+			capacityW: res.CapacityW,
+			locKm:     metrics.HaversineKm(h.site.Lat, h.site.Lon, res.Lat, res.Lon),
+		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return scores, nil
 }
 
 // sundanceHome is one memoized §II-B evaluation home: the PV site, its

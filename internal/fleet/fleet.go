@@ -8,20 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"privmem/internal/attack/fingerprint"
 	"privmem/internal/attack/niom"
 	"privmem/internal/hmm"
 	"privmem/internal/home"
 	"privmem/internal/meter"
 	"privmem/internal/metrics"
 	"privmem/internal/nettrace"
-)
-
-// eventBytes and minEvents mirror fingerprint.DefaultOccupancyConfig: a flow
-// moving at least eventBytes counts as an activity event, and minEvents
-// events per window read as occupancy.
-const (
-	eventBytes = 50_000
-	minEvents  = 2
 )
 
 // chunk is one simulated (day, archetype, variant) slab, the unit flowing
@@ -145,6 +138,10 @@ type runner struct {
 	// adds are commutative, so any worker count and scheduling yields
 	// bit-identical counters.
 	histNIOM, histNet, histFHMM, histZ *metrics.FixedHistogram
+	// occ decides what counts as a traffic event (a flow moving at least
+	// EventBytes) and how many events per window read as activity
+	// (MinEvents). Its Window is unused: the fleet counts per Spec.Window.
+	occ fingerprint.OccupancyConfig
 
 	k         int // samples per analysis window
 	winPerDay int
@@ -178,6 +175,7 @@ func newRunner(spec Spec) (*runner, error) {
 		histNet:  metrics.NewFixedHistogram(2000, 1_000_000),
 		histFHMM: metrics.NewFixedHistogram(2000, 1_000_000),
 		histZ:    metrics.NewFixedHistogram(2048, 64_000_000),
+		occ:      fingerprint.DefaultOccupancyConfig(),
 	}
 
 	mix := spec.effectiveMix()
@@ -383,7 +381,7 @@ func (r *runner) buildChunk(ai, v, day int, dayFactor float64) (*chunk, error) {
 	}
 	dayStart := fleetStart.Add(time.Duration(day) * 24 * time.Hour)
 	for _, rec := range cap.Records {
-		if rec.BytesUp+rec.BytesDown < eventBytes {
+		if rec.BytesUp+rec.BytesDown < r.occ.EventBytes {
 			continue
 		}
 		if w := nettrace.WindowIndex(dayStart, rec.Time, r.spec.Window); w >= 0 && w < r.winPerDay {
@@ -481,7 +479,7 @@ func (r *runner) processHome(st *homeState, c *chunk, sc *niom.Scratch) {
 		// Network occupancy: the variant's event count, scaled and noised
 		// per home, against the fingerprint event threshold.
 		cnt := float64(c.events[w])*st.netScale + 0.75*st.rng.norm()
-		if (cnt >= minEvents) == active {
+		if (cnt >= float64(r.occ.MinEvents)) == active {
 			st.netCorrect++
 		}
 		st.netTotal++

@@ -6,17 +6,16 @@ import (
 	"strings"
 	"time"
 
-	"privmem/internal/attack/fingerprint"
 	"privmem/internal/attack/niom"
 	"privmem/internal/fleet"
 	"privmem/internal/hmm"
 	"privmem/internal/home"
 	"privmem/internal/meter"
-	"privmem/internal/nettrace"
 	"privmem/internal/timeseries"
 )
 
-// The online-equivalence laws pin the streaming attack forms to their batch
+// The online-equivalence laws pin the streaming forms the fleet runs (the
+// threshold NIOM stream and the incremental FHMM decoder) to their batch
 // counterparts bit for bit: an online detector replayed over a recorded
 // world must emit, at every window boundary, exactly what the batch
 // computation over the same prefix semantics produces. Equality here is
@@ -24,9 +23,9 @@ import (
 // perform the same arithmetic in the same order.
 
 // OnlineNIOMEquivalent records a metered home and replays it through the
-// streaming NIOM detector in both modes, requiring bit-identity with the
-// batch sliding detectors at every window boundary, and with the full-trace
-// batch detector at the final boundary.
+// streaming NIOM detector, requiring bit-identity with the batch sliding
+// detector at every window boundary, and with the full-trace batch detector
+// at the final boundary.
 func OnlineNIOMEquivalent(seed int64) error {
 	cfg := home.DefaultConfig(seed)
 	cfg.Days = 3
@@ -42,71 +41,52 @@ func OnlineNIOMEquivalent(seed int64) error {
 	}
 	ncfg := niom.DefaultConfig()
 
-	for _, mc := range []struct {
-		mode  niom.Mode
-		name  string
-		slide func(history int) ([]float64, error)
-		batch func() ([]float64, error)
-	}{
-		{
-			mode: niom.ModeThreshold, name: "threshold",
-			slide: func(h int) ([]float64, error) { return niom.SlidingThreshold(power, ncfg, h) },
-			batch: func() ([]float64, error) { return batchBoundaryLabels(niom.DetectThreshold, power, ncfg) },
-		},
-		{
-			mode: niom.ModeHMM, name: "hmm",
-			slide: func(h int) ([]float64, error) { return niom.SlidingHMM(power, ncfg, h) },
-			batch: func() ([]float64, error) { return batchBoundaryLabels(niom.DetectHMM, power, ncfg) },
-		},
-	} {
-		for _, history := range []int{4, 32, 1 << 20} {
-			want, err := mc.slide(history)
+	for _, history := range []int{4, 32, 1 << 20} {
+		want, err := niom.SlidingThreshold(power, ncfg, history)
+		if err != nil {
+			return fmt.Errorf("invariant: online niom: %w", err)
+		}
+		s, err := niom.NewStream(ncfg, power.Step, history, niom.ModeThreshold)
+		if err != nil {
+			return fmt.Errorf("invariant: online niom: %w", err)
+		}
+		sc := &niom.Scratch{}
+		var got []float64
+		for _, v := range power.Values {
+			if lbl, boundary := s.Push(v, sc); boundary {
+				got = append(got, lbl)
+			}
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("invariant: online niom history %d: %d boundaries, batch %d",
+				history, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("invariant: online niom history %d: boundary %d stream %v != batch %v",
+					history, i, got[i], want[i])
+			}
+		}
+		// With history covering the whole trace, the final boundary must
+		// also match the full-trace batch detector.
+		if history >= len(want) {
+			full, err := batchBoundaryLabels(power, ncfg)
 			if err != nil {
-				return fmt.Errorf("invariant: online niom %s: %w", mc.name, err)
+				return fmt.Errorf("invariant: online niom: %w", err)
 			}
-			s, err := niom.NewStream(ncfg, power.Step, history, mc.mode)
-			if err != nil {
-				return fmt.Errorf("invariant: online niom %s: %w", mc.name, err)
-			}
-			sc := &niom.Scratch{}
-			var got []float64
-			for _, v := range power.Values {
-				if lbl, boundary := s.Push(v, sc); boundary {
-					got = append(got, lbl)
-				}
-			}
-			if len(got) != len(want) {
-				return fmt.Errorf("invariant: online niom %s history %d: %d boundaries, batch %d",
-					mc.name, history, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("invariant: online niom %s history %d: boundary %d stream %v != batch %v",
-						mc.name, history, i, got[i], want[i])
-				}
-			}
-			// With history covering the whole trace, the final boundary must
-			// also match the full-trace batch detector.
-			if history >= len(want) {
-				full, err := mc.batch()
-				if err != nil {
-					return fmt.Errorf("invariant: online niom %s: %w", mc.name, err)
-				}
-				if got[len(got)-1] != full[len(full)-1] {
-					return fmt.Errorf("invariant: online niom %s: final label %v != batch %v",
-						mc.name, got[len(got)-1], full[len(full)-1])
-				}
+			if got[len(got)-1] != full[len(full)-1] {
+				return fmt.Errorf("invariant: online niom: final label %v != batch %v",
+					got[len(got)-1], full[len(full)-1])
 			}
 		}
 	}
 	return nil
 }
 
-// batchBoundaryLabels runs a batch NIOM detector and reduces its per-sample
-// expansion back to one label per analysis window.
-func batchBoundaryLabels(detect func(*timeseries.Series, niom.Config) (*timeseries.Series, error),
-	power *timeseries.Series, cfg niom.Config) ([]float64, error) {
-	out, err := detect(power, cfg)
+// batchBoundaryLabels runs the batch threshold detector and reduces its
+// per-sample expansion back to one label per analysis window.
+func batchBoundaryLabels(power *timeseries.Series, cfg niom.Config) ([]float64, error) {
+	out, err := niom.DetectThreshold(power, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -211,70 +191,6 @@ func pathsIdentical(a, b [][]int) error {
 			if a[c][t] != b[c][t] {
 				return fmt.Errorf("chain %d step %d: %d != %d", c, t, a[c][t], b[c][t])
 			}
-		}
-	}
-	return nil
-}
-
-// OnlineFingerprintEquivalent records a lab/victim capture pair and requires
-// the streaming device identifier and occupancy detector to reproduce their
-// batch counterparts bit for bit.
-func OnlineFingerprintEquivalent(seed int64) error {
-	lab, err := nettrace.Simulate(nettrace.DefaultConfig(seed))
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	clf, err := fingerprint.Train(lab, time.Hour)
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	victim, err := nettrace.Simulate(nettrace.DefaultConfig(seed + 1))
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-
-	want, err := fingerprint.Identify(clf, victim)
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	s := fingerprint.NewStreamIdentifier(clf, victim.Start)
-	for _, r := range victim.Records {
-		if _, _, err := s.Observe(r); err != nil {
-			return fmt.Errorf("invariant: online fingerprint: %w", err)
-		}
-	}
-	got, err := s.Finalize(victim)
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	if got.Accuracy != want.Accuracy || len(got.Predicted) != len(want.Predicted) {
-		return fmt.Errorf("invariant: online fingerprint: stream accuracy %v (%d devices) != batch %v (%d)",
-			got.Accuracy, len(got.Predicted), want.Accuracy, len(want.Predicted))
-	}
-	for dev, class := range want.Predicted {
-		if got.Predicted[dev] != class {
-			return fmt.Errorf("invariant: online fingerprint: device %s stream %v != batch %v",
-				dev, got.Predicted[dev], class)
-		}
-	}
-
-	occCfg := fingerprint.DefaultOccupancyConfig()
-	occWant, err := fingerprint.InferOccupancy(victim, occCfg)
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	occGot, err := fingerprint.InferOccupancyStream(victim, occCfg)
-	if err != nil {
-		return fmt.Errorf("invariant: online fingerprint: %w", err)
-	}
-	if occGot.Len() != occWant.Len() {
-		return fmt.Errorf("invariant: online fingerprint: occupancy windows %d != %d",
-			occGot.Len(), occWant.Len())
-	}
-	for i := range occWant.Values {
-		if occGot.Values[i] != occWant.Values[i] {
-			return fmt.Errorf("invariant: online fingerprint: occupancy window %d stream %v != batch %v",
-				i, occGot.Values[i], occWant.Values[i])
 		}
 	}
 	return nil

@@ -3,7 +3,7 @@ package nettrace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"privmem/internal/stats"
@@ -76,15 +76,16 @@ func WindowIndex(start, t time.Time, width time.Duration) int {
 // ExtractFeatures buckets a capture into fixed windows per device and
 // summarizes each non-empty window.
 //
-// The kernel is allocation-shaped around the dominant producers (Simulate
-// and Shape emit time-sorted records): record indices are grouped per device
-// into one shared slab, and a device whose subsequence is already
-// time-sorted is summarized by a single run walk — window indices are then
-// nondecreasing, so each window is a contiguous run and its aggregates
-// accumulate in original record order, exactly like the naive bucketing
-// kernel. Devices whose records arrive out of order (possible for captures
-// read back via ReadCapture) take the naive per-window bucketing path, so
-// results are bit-identical either way.
+// Record indices are grouped per device into one shared slab, and each
+// device's subsequence is summarized by a single run walk over its records
+// in time order: window indices are then nondecreasing, so each window is a
+// contiguous run. The dominant producers (Simulate and Shape) emit
+// time-sorted records; a device whose records arrive out of order (possible
+// for captures read back via ReadCapture) has its index slice stable-sorted
+// by time first. The result does not depend on record order: byte counts
+// are integers, so their float64 sums are exact in any order (below 2^53);
+// the maximum and the endpoint set are order-free; and gaps are taken
+// between time-sorted flows, so they are the same sequence either way.
 func ExtractFeatures(cap *Capture, window time.Duration) (map[string][]Features, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("%w: window %v", ErrBadConfig, window)
@@ -110,24 +111,17 @@ func ExtractFeatures(cap *Capture, window time.Duration) (map[string][]Features,
 
 	out := make(map[string][]Features, len(byDev))
 	sc := &featureScratch{endpoints: make(map[string]struct{}, 16)}
+	byTime := func(a, b int32) int { return recs[a].Time.Compare(recs[b].Time) }
 	for dev, idx := range byDev {
-		sorted := true
-		for k := 1; k < len(idx); k++ {
-			if recs[idx[k]].Time.Before(recs[idx[k-1]].Time) {
-				sorted = false
-				break
-			}
+		if !slices.IsSortedFunc(idx, byTime) {
+			slices.SortStableFunc(idx, byTime)
 		}
-		if sorted {
-			out[dev] = extractSortedDevice(cap, dev, idx, window, sc)
-		} else {
-			out[dev] = extractUnsortedDevice(cap, dev, idx, window)
-		}
+		out[dev] = extractDevice(cap, dev, idx, window, sc)
 	}
 	return out, nil
 }
 
-// featureScratch is the per-call working set extractSortedDevice reuses
+// featureScratch is the per-call working set extractDevice reuses
 // across devices and windows.
 type featureScratch struct {
 	gaps      []float64
@@ -150,10 +144,10 @@ func summarizeWindow(f *Features, gaps []float64, window time.Duration) {
 	}
 }
 
-// extractSortedDevice summarizes a device whose record subsequence is
-// time-sorted: windows are contiguous runs of the index slice, visited in
-// ascending window order, with all aggregates accumulated in record order.
-func extractSortedDevice(cap *Capture, dev string, idx []int32, window time.Duration, sc *featureScratch) []Features {
+// extractDevice summarizes a device whose index slice is in time
+// order: windows are contiguous runs of the slice, visited in ascending
+// window order, with all aggregates accumulated in slice order.
+func extractDevice(cap *Capture, dev string, idx []int32, window time.Duration, sc *featureScratch) []Features {
 	recs := cap.Records
 	var out []Features
 	for lo := 0; lo < len(idx); {
@@ -183,61 +177,6 @@ func extractSortedDevice(cap *Capture, dev string, idx []int32, window time.Dura
 		summarizeWindow(&f, sc.gaps, window)
 		out = append(out, f)
 		lo = hi
-	}
-	return out
-}
-
-// extractUnsortedDevice is the naive bucketing kernel, kept verbatim for
-// devices whose records are not time-sorted: per-window aggregates
-// accumulate in record order, then each window's times are sorted for the
-// gap statistics.
-func extractUnsortedDevice(cap *Capture, dev string, idx []int32, window time.Duration) []Features {
-	recs := cap.Records
-	type bucket struct {
-		times     []time.Time
-		up, down  float64
-		endpoints map[string]bool
-		maxUp     float64
-	}
-	byWin := map[int]*bucket{}
-	for _, i := range idx {
-		r := &recs[i]
-		w := WindowIndex(cap.Start, r.Time, window)
-		b, ok := byWin[w]
-		if !ok {
-			b = &bucket{endpoints: map[string]bool{}}
-			byWin[w] = b
-		}
-		b.times = append(b.times, r.Time)
-		b.up += float64(r.BytesUp)
-		b.down += float64(r.BytesDown)
-		b.endpoints[r.Endpoint] = true
-		b.maxUp = max(b.maxUp, float64(r.BytesUp))
-	}
-	wins := make([]int, 0, len(byWin))
-	for w := range byWin {
-		wins = append(wins, w)
-	}
-	sort.Ints(wins)
-	out := make([]Features, 0, len(wins))
-	for _, w := range wins {
-		b := byWin[w]
-		sort.Slice(b.times, func(i, j int) bool { return b.times[i].Before(b.times[j]) })
-		var gaps []float64
-		for i := 1; i < len(b.times); i++ {
-			gaps = append(gaps, b.times[i].Sub(b.times[i-1]).Seconds())
-		}
-		f := Features{
-			Device:            dev,
-			WindowStart:       cap.Start.Add(time.Duration(w) * window),
-			Flows:             len(b.times),
-			BytesUp:           b.up,
-			BytesDown:         b.down,
-			DistinctEndpoints: len(b.endpoints),
-			MaxFlowUp:         b.maxUp,
-		}
-		summarizeWindow(&f, gaps, window)
-		out = append(out, f)
 	}
 	return out
 }

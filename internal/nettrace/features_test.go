@@ -2,6 +2,9 @@ package nettrace
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,5 +136,72 @@ func TestExtractFeaturesSimultaneousFlows(t *testing.T) {
 	}
 	if fs[0].MeanGapS != 0 || fs[0].GapCV != 0 {
 		t.Errorf("gap features = %v/%v, want 0/0 for a simultaneous burst", fs[0].MeanGapS, fs[0].GapCV)
+	}
+}
+
+// TestExtractFeaturesAnyRecordOrder pins the single feature kernel's order
+// independence: ExtractFeatures over shuffled, reversed and grouped-by-device
+// copies of a capture equals its result over the time-sorted records, field
+// for field. The capture carries a compromise, a burst of simultaneous flows
+// and a record from before the capture start, so ties and a negative window
+// both go through the out-of-order path.
+func TestExtractFeaturesAnyRecordOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		cfg := DefaultConfig(seed)
+		cfg.Days = 1
+		at := cfg.Start.Add(12 * time.Hour)
+		cfg.Compromises = []Compromise{
+			{Device: "camera-02", At: at, Kind: CompromiseExfil},
+			{Device: "smart-plug-03", At: at, Kind: CompromiseScan},
+		}
+		cap := simulate(t, cfg)
+		burst := cfg.Start.Add(7*time.Hour + 5*time.Minute)
+		cap.Records = append(cap.Records,
+			FlowRecord{Time: cfg.Start.Add(-30 * time.Second), Device: "hub-01", Endpoint: "early", BytesUp: 700, BytesDown: 70},
+			FlowRecord{Time: burst, Device: "hub-01", Endpoint: "a", BytesUp: 10, BytesDown: 1},
+			FlowRecord{Time: burst, Device: "hub-01", Endpoint: "b", BytesUp: 20, BytesDown: 2},
+			FlowRecord{Time: burst, Device: "hub-01", Endpoint: "c", BytesUp: 30, BytesDown: 3},
+		)
+		sorted := slices.Clone(cap.Records)
+		slices.SortStableFunc(sorted, func(a, b FlowRecord) int { return a.Time.Compare(b.Time) })
+		rng := rand.New(rand.NewSource(seed))
+		shuffled := slices.Clone(sorted)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		byDevice := slices.Clone(shuffled)
+		slices.SortStableFunc(byDevice, func(a, b FlowRecord) int { return strings.Compare(a.Device, b.Device) })
+
+		for _, window := range []time.Duration{15 * time.Minute, time.Hour} {
+			cap.Records = sorted
+			want, err := ExtractFeatures(cap, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs := want["hub-01"]; len(fs) == 0 || !fs[0].WindowStart.Before(cfg.Start) {
+				t.Fatalf("seed %d: the pre-start record did not open a window before the capture start", seed)
+			}
+			for name, recs := range map[string][]FlowRecord{"shuffled": shuffled, "reversed": reversed, "by-device": byDevice} {
+				cap.Records = slices.Clone(recs)
+				got, err := ExtractFeatures(cap, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s: %d devices, sorted %d", seed, name, len(got), len(want))
+				}
+				for dev, wfs := range want {
+					gfs := got[dev]
+					if len(gfs) != len(wfs) {
+						t.Fatalf("seed %d %s window %v: %s has %d windows, sorted %d", seed, name, window, dev, len(gfs), len(wfs))
+					}
+					for i := range wfs {
+						if gfs[i] != wfs[i] {
+							t.Fatalf("seed %d %s window %v: %s window %d = %+v, sorted %+v", seed, name, window, dev, i, gfs[i], wfs[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
