@@ -12,6 +12,8 @@
 // With -diff FILE, stdin is instead compared against the baseline JSON in
 // FILE: per-benchmark ns/op and allocs/op ratios are printed, plus warnings
 // for large regressions and for benchmarks that appear on only one side.
+// Rows match by name with the -N suffix ignored, so a snapshot taken at
+// another CPU count still compares.
 // Diff mode is advisory by default — it exits 0 unless the input cannot be
 // parsed — so it can gate nothing while still surfacing trajectory drift in
 // CI logs. With -fail-pct P (> 0), a ns/op regression beyond P percent or an
@@ -27,6 +29,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Result is one parsed benchmark line.
@@ -109,12 +112,12 @@ func runDiff(basePath string, failPct float64, in io.Reader, out io.Writer) erro
 
 	baseByName := map[string]Result{}
 	for _, r := range base {
-		baseByName[r.Name] = r
+		baseByName[benchKey(r.Name)] = r
 	}
 	seen := map[string]bool{}
 	for _, r := range fresh {
-		seen[r.Name] = true
-		old, ok := baseByName[r.Name]
+		seen[benchKey(r.Name)] = true
+		old, ok := baseByName[benchKey(r.Name)]
 		if !ok {
 			if _, err := fmt.Fprintf(out, "warn: %s: not in baseline %s\n", r.Name, basePath); err != nil {
 				return err
@@ -150,9 +153,9 @@ func runDiff(basePath string, failPct float64, in io.Reader, out io.Writer) erro
 		}
 	}
 	missing := []string{}
-	for name := range baseByName {
-		if !seen[name] {
-			missing = append(missing, name)
+	for key, r := range baseByName {
+		if !seen[key] {
+			missing = append(missing, r.Name)
 		}
 	}
 	sort.Strings(missing)
@@ -165,4 +168,20 @@ func runDiff(basePath string, failPct float64, in io.Reader, out io.Writer) erro
 		return errRegression
 	}
 	return nil
+}
+
+// benchKey is a benchmark's name without its trailing -N GOMAXPROCS
+// suffix, so a snapshot taken at another CPU count still matches row by
+// row.
+func benchKey(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

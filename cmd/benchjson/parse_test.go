@@ -243,6 +243,25 @@ func TestRunDiffFailPct(t *testing.T) {
 	}
 }
 
+// TestRunDiffAcrossCPUCounts checks that rows match with the -N GOMAXPROCS
+// suffix ignored: a 1-CPU baseline row must still gate the same benchmark
+// run on two cores, and the output keeps the names as they are.
+func TestRunDiffAcrossCPUCounts(t *testing.T) {
+	base := `[{"name": "BenchmarkFactorialDecode", "iterations": 100, "ns_per_op": 1000, "allocs_per_op": 100}]`
+	basePath := t.TempDir() + "/base.json"
+	if err := writeFile(basePath, base); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	fresh := "BenchmarkFactorialDecode-2 260 1000 ns/op 100 B/op 900 allocs/op\nPASS\n"
+	if err := runDiff(basePath, 40, strings.NewReader(fresh), &out); !errors.Is(err, errRegression) {
+		t.Fatalf("allocs regression across CPU counts err = %v, want errRegression\n%s", err, out.String())
+	}
+	if got := out.String(); !strings.Contains(got, "warn: BenchmarkFactorialDecode-2:") || strings.Contains(got, "not in") {
+		t.Errorf("diff output:\n%s", got)
+	}
+}
+
 func TestRunDiffBadBaseline(t *testing.T) {
 	if err := runDiff("/nonexistent/base.json", 0, strings.NewReader(""), &bytes.Buffer{}); err == nil {
 		t.Fatal("missing baseline accepted")

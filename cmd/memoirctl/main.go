@@ -194,11 +194,10 @@ func cmdFingerprint(seed int64, days int) error {
 		return err
 	}
 	fmt.Printf("occupancy from traffic: MCC=%.3f accuracy=%.3f\n", ev.MCC, ev.Accuracy)
-	shaped, report, err := nw.ShapeTraffic(false)
+	_, report, err := nw.ShapeTraffic(false)
 	if err != nil {
 		return err
 	}
-	_ = shaped
 	fmt.Printf("after gateway shaping: overhead=%.2fx delay=%s worst-queue=%s\n",
 		report.PaddingOverhead, report.MeanDelay, report.MaxQueueDelay.Round(time.Second))
 	return nil

@@ -12,6 +12,9 @@ func TestRunArgHandling(t *testing.T) {
 		{name: "unknown command", args: []string{"frobnicate"}, want: 2},
 		{name: "bad flag", args: []string{"simulate", "-bogus"}, want: 2},
 		{name: "simulate tiny", args: []string{"simulate", "-days", "1", "-seed", "3"}, want: 0},
+		{name: "attack tiny", args: []string{"attack", "-days", "1"}, want: 0},
+		{name: "defend tiny", args: []string{"defend", "-days", "2"}, want: 0},
+		{name: "fingerprint tiny", args: []string{"fingerprint", "-days", "1"}, want: 0},
 		{name: "figures quick one", args: []string{"figures", "-quick", "-id", "f6"}, want: 0},
 		{name: "figures quick parallel", args: []string{"figures", "-quick", "-id", "f1,f6", "-workers", "2"}, want: 0},
 		{name: "figures unknown id", args: []string{"figures", "-quick", "-id", "zz"}, want: 1},

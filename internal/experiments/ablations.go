@@ -10,7 +10,6 @@ import (
 	"privmem/internal/attack/weatherman"
 	"privmem/internal/defense/gateway"
 	"privmem/internal/home"
-	"privmem/internal/meter"
 	"privmem/internal/metrics"
 	"privmem/internal/nettrace"
 	"privmem/internal/solarsim"
@@ -74,11 +73,7 @@ func AblationNIOMDetector(opts Options) (*Report, error) {
 		for h := 0; h < nHomes; h++ {
 			cfg := home.RandomConfig(seed+200, h)
 			cfg.Days = days
-			tr, err := home.Simulate(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ablation niom: %w", err)
-			}
-			m, err := meter.Read(meter.DefaultConfig(seed+int64(h)), tr.Aggregate)
+			tr, m, err := home.SimulateMetered(cfg, seed+int64(h))
 			if err != nil {
 				return nil, fmt.Errorf("ablation niom: %w", err)
 			}

@@ -98,11 +98,7 @@ func figure1SeriesUncached(opts Options) ([]figure1Home, []string, error) {
 		found := false
 		for attempt := int64(0); attempt < 25 && !found; attempt++ {
 			cfg.Seed += attempt
-			tr, err := home.Simulate(cfg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("figure 1: %w", err)
-			}
-			m, err := meter.Read(meter.DefaultConfig(cfg.Seed), tr.Aggregate)
+			tr, m, err := home.SimulateMetered(cfg, cfg.Seed)
 			if err != nil {
 				return nil, nil, fmt.Errorf("figure 1: %w", err)
 			}
@@ -309,11 +305,7 @@ func niomPopulation(opts Options, nHomes, days int) ([]niomHome, error) {
 		for i := 0; i < nHomes; i++ {
 			cfg := home.RandomConfig(seed, i)
 			cfg.Days = days
-			tr, err := home.Simulate(cfg)
-			if err != nil {
-				return nil, err
-			}
-			m, err := meter.Read(meter.DefaultConfig(seed+int64(i)), tr.Aggregate)
+			tr, m, err := home.SimulateMetered(cfg, seed+int64(i))
 			if err != nil {
 				return nil, err
 			}

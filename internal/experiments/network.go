@@ -64,13 +64,7 @@ func networkWorldUncached(opts Options) (lab, victim *nettrace.Capture, tr *home
 		victim, err = nettrace.Simulate(vcfg)
 		return err
 	}, func() (err error) {
-		labCfg := nettrace.DefaultConfig(seed + 1)
-		labCfg.Days = 2
-		labCfg.Counts = map[nettrace.Class]int{}
-		for _, c := range nettrace.Classes() {
-			labCfg.Counts[c] = 1
-		}
-		lab, err = nettrace.Simulate(labCfg)
+		lab, err = nettrace.SimulateLab(seed + 1)
 		return err
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"privmem/internal/defense/battery"
 	"privmem/internal/home"
 	"privmem/internal/loads"
-	"privmem/internal/meter"
 	"privmem/internal/timeseries"
 )
 
@@ -110,13 +109,7 @@ func buildNILMWorkloadUncached(opts Options) (*nilmWorkload, error) {
 	cfg.Days = days
 	cfg.Step = 10 * time.Second
 	cfg.IncludeWaterHeater = false // the Figure 2 home heats water with gas
-	tr, err := home.Simulate(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("nilm workload: %w", err)
-	}
-	mc := meter.DefaultConfig(seed)
-	mc.Interval = cfg.Step
-	metered, err := meter.Read(mc, tr.Aggregate)
+	tr, metered, err := home.SimulateMetered(cfg, seed)
 	if err != nil {
 		return nil, fmt.Errorf("nilm workload: %w", err)
 	}
@@ -402,11 +395,7 @@ func batteryWorld(opts Options) (*batteryWorkload, error) {
 		}
 		cfg := home.DefaultConfig(seed + 7)
 		cfg.Days = days
-		tr, err := home.Simulate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		load, err := meter.Read(meter.DefaultConfig(seed), tr.Aggregate)
+		tr, load, err := home.SimulateMetered(cfg, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -339,11 +339,7 @@ func localIoTWorld(opts Options) (*localIoTWorkload, error) {
 		if opts.Quick {
 			cfg.Days = 4
 		}
-		tr, err := home.Simulate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m, err := meter.Read(meter.DefaultConfig(seed), tr.Aggregate)
+		tr, m, err := home.SimulateMetered(cfg, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -352,11 +348,7 @@ func localIoTWorld(opts Options) (*localIoTWorkload, error) {
 		vcfg := home.DefaultConfig(seed + 4)
 		vcfg.Days = 14
 		vcfg.VacationDays = []int{5, 6, 12}
-		vtr, err := home.Simulate(vcfg)
-		if err != nil {
-			return nil, err
-		}
-		vm, err := meter.Read(meter.DefaultConfig(seed+4), vtr.Aggregate)
+		vtr, vm, err := home.SimulateMetered(vcfg, seed+4)
 		if err != nil {
 			return nil, err
 		}

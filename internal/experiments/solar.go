@@ -17,27 +17,6 @@ import (
 	"privmem/internal/weather"
 )
 
-var solarStart = time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// solarWorld builds the shared solar-evaluation world: a regional weather
-// field, the public station grid, and the 10-site fleet.
-func solarWorld(opts Options, days int) (*weather.Field, []weather.Station, []solarsim.Site, error) {
-	seed := opts.seed()
-	field, err := weather.NewField(weather.DefaultFieldConfig(seed+900), solarStart, days*24, 41)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	spacing := 0.25
-	if opts.Quick {
-		spacing = 0.75
-	}
-	stations, err := weather.StationGrid(field, 35, 47, -89, -71, spacing)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return field, stations, solarsim.Fleet(seed + 7), nil
-}
-
 // solarFleetWorkload is the memoized Figure 5 world: the station grid, the
 // evaluated sites, and each site's generated 1-minute telemetry. Shared
 // read-only.
@@ -50,11 +29,11 @@ type solarFleetWorkload struct {
 // solarFleetWorld builds (or returns the memoized) Figure 5 fleet world.
 func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
 	return memoWorld(memoKey("solarfleet", opts), func() (*solarFleetWorkload, error) {
-		days := 365
+		days, spacing := 365, 0.25
 		if opts.Quick {
-			days = 90
+			days, spacing = 90, 0.75
 		}
-		field, stations, sites, err := solarWorld(opts, days)
+		field, stations, sites, err := solarsim.Figure5Region(opts.seed()+900, opts.seed()+7, days, spacing)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +49,7 @@ func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
 		w := &solarFleetWorkload{stations: stations, sites: sites}
 		w.gens = make([]*timeseries.Series, len(sites))
 		err = par.For(len(sites), func(i int) (err error) {
-			w.gens[i], err = solarsim.Generate(sites[i], field, solarStart, days, time.Minute, opts.seed()+int64(i))
+			w.gens[i], err = solarsim.Generate(sites[i], field, field.Start(), days, time.Minute, opts.seed()+int64(i))
 			return err
 		})
 		if err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"privmem/internal/loads"
+	"privmem/internal/meter"
 	"privmem/internal/timeseries"
 )
 
@@ -159,6 +160,23 @@ type Trace struct {
 	Events []Event
 	// WaterDraws are the hot-water usage events, sorted by time.
 	WaterDraws []WaterDraw
+}
+
+// SimulateMetered simulates the home described by cfg and reads its
+// aggregate through a default smart meter (meter.DefaultConfig(meterSeed))
+// reporting at the trace's own step: a home behind its meter.
+func SimulateMetered(cfg Config, meterSeed int64) (*Trace, *timeseries.Series, error) {
+	tr, err := Simulate(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	mc := meter.DefaultConfig(meterSeed)
+	mc.Interval = tr.Aggregate.Step
+	m, err := meter.Read(mc, tr.Aggregate)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, m, nil
 }
 
 // Simulate runs the household simulation described by cfg.

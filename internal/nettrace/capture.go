@@ -146,6 +146,18 @@ func activeAt(activity *timeseries.Series, t time.Time) bool {
 	return h >= 7 && h < 23
 }
 
+// SimulateLab generates the attacker's lab capture that device classifiers
+// train on: two days of one device per class.
+func SimulateLab(seed int64) (*Capture, error) {
+	cfg := DefaultConfig(seed)
+	cfg.Days = 2
+	cfg.Counts = map[Class]int{}
+	for _, c := range Classes() {
+		cfg.Counts[c] = 1
+	}
+	return Simulate(cfg)
+}
+
 // Simulate generates the LAN capture.
 func Simulate(cfg Config) (*Capture, error) {
 	if cfg.Days <= 0 {

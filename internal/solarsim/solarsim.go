@@ -109,6 +109,23 @@ func Generate(site Site, field *weather.Field, start time.Time, days int, step t
 	return out, nil
 }
 
+// Figure5Region builds the regional scenario of the paper's Figure 5: a
+// cloud field of the given days from 2017-01-01 UTC (projected at 41°N),
+// the public station grid over 35–47°N, 89–71°W at spacingDeg, and
+// Fleet(fleetSeed). Generate a site's telemetry from field.Start().
+func Figure5Region(fieldSeed, fleetSeed int64, days int, spacingDeg float64) (*weather.Field, []weather.Station, []Site, error) {
+	start := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	field, err := weather.NewField(weather.DefaultFieldConfig(fieldSeed), start, days*24, 41)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stations, err := weather.StationGrid(field, 35, 47, -89, -71, spacingDeg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return field, stations, Fleet(fleetSeed), nil
+}
+
 // Fleet builds the 10-site benchmark fleet of the paper's Figure 5: sites
 // scattered across a wide coordinate span, most south-facing, with a few
 // strongly east- or west-skewed rooftops (the sites SunSpot localizes

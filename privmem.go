@@ -21,6 +21,8 @@
 package privmem
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"privmem/internal/attack/fingerprint"
@@ -30,7 +32,6 @@ import (
 	"privmem/internal/attack/sundance"
 	"privmem/internal/attack/sunspot"
 	"privmem/internal/attack/weatherman"
-	"privmem/internal/core"
 	"privmem/internal/defense/battery"
 	"privmem/internal/defense/chpr"
 	"privmem/internal/defense/dprivacy"
@@ -52,25 +53,6 @@ import (
 
 // Series is the uniform time-series type used throughout the library.
 type Series = timeseries.Series
-
-// Core scenario types (see internal/core).
-type (
-	// EnergyWorld is a simulated home behind a smart meter.
-	EnergyWorld = core.EnergyWorld
-	// Defense selects a meter-data defense in DefenseMatrix.
-	Defense = core.Defense
-	// MatrixRow is one defense's outcome against the occupancy attack.
-	MatrixRow = core.MatrixRow
-)
-
-// Defense constants for EnergyWorld.DefenseMatrix.
-const (
-	DefenseNone     = core.DefenseNone
-	DefenseCHPr     = core.DefenseCHPr
-	DefenseNILL     = core.DefenseNILL
-	DefenseStepping = core.DefenseStepping
-	DefenseDP       = core.DefenseDP
-)
 
 // Home-simulation types.
 type (
@@ -138,17 +120,6 @@ type (
 	ExperimentReport = experiments.Report
 )
 
-// NewEnergyWorld simulates a default two-occupant home for the given number
-// of days behind a 1-minute smart meter.
-func NewEnergyWorld(seed int64, days int) (*EnergyWorld, error) {
-	return core.NewEnergyWorld(seed, days)
-}
-
-// NewEnergyWorldFromConfig simulates a home from an explicit configuration.
-func NewEnergyWorldFromConfig(cfg HomeConfig) (*EnergyWorld, error) {
-	return core.NewEnergyWorldFromConfig(cfg)
-}
-
 // DefaultHomeConfig returns the representative two-occupant home
 // configuration.
 func DefaultHomeConfig(seed int64) HomeConfig { return home.DefaultConfig(seed) }
@@ -159,8 +130,236 @@ func RandomHomeConfig(baseSeed int64, index int) HomeConfig {
 	return home.RandomConfig(baseSeed, index)
 }
 
+// errBadInput indicates invalid scenario parameters.
+var errBadInput = errors.New("privmem: invalid input")
+
+// EnergyWorld is a simulated home behind a smart meter.
+type EnergyWorld struct {
+	// Trace is the ground truth (occupancy, per-appliance power, diary).
+	Trace *HomeTrace
+	// Metered is the smart-meter view of the aggregate.
+	Metered *Series
+	// Config records the home parameters; its Seed seeds the defenses too.
+	Config HomeConfig
+}
+
+// NewEnergyWorld simulates a default two-occupant home for the given number
+// of days behind a 1-minute smart meter.
+func NewEnergyWorld(seed int64, days int) (*EnergyWorld, error) {
+	cfg := home.DefaultConfig(seed)
+	cfg.Days = days
+	return NewEnergyWorldFromConfig(cfg)
+}
+
+// NewEnergyWorldFromConfig simulates a home from an explicit configuration.
+// The smart meter reports at the simulation step (1 minute by default), so
+// high-rate configurations get matching high-rate metering.
+func NewEnergyWorldFromConfig(cfg HomeConfig) (*EnergyWorld, error) {
+	tr, m, err := home.SimulateMetered(cfg, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("privmem: %w", err)
+	}
+	return &EnergyWorld{Trace: tr, Metered: m, Config: cfg}, nil
+}
+
+// OccupancyAttack runs the threshold NIOM attack on the metered trace and
+// scores it against ground truth.
+func (w *EnergyWorld) OccupancyAttack() (OccupancyEvaluation, *Series, error) {
+	pred, err := niom.DetectThreshold(w.Metered, niom.DefaultConfig())
+	if err != nil {
+		return niom.Evaluation{}, nil, fmt.Errorf("privmem: occupancy attack: %w", err)
+	}
+	ev, err := niom.Evaluate(w.Trace.Occupancy, pred)
+	if err != nil {
+		return niom.Evaluation{}, nil, fmt.Errorf("privmem: occupancy attack: %w", err)
+	}
+	return ev, pred, nil
+}
+
+// ApplianceAttack runs the PowerPlay NILM attack for the paper's five
+// tracked devices and scores each against ground truth.
+func (w *EnergyWorld) ApplianceAttack() ([]DeviceError, map[string]*Series, error) {
+	var models []loads.Model
+	truth := map[string]*Series{}
+	for _, name := range loads.TrackedDevices() {
+		m, err := loads.Lookup(name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("privmem: appliance attack: %w", err)
+		}
+		if dev, ok := w.Trace.Appliances[name]; ok {
+			models = append(models, m)
+			truth[name] = dev
+		}
+	}
+	if len(models) == 0 {
+		return nil, nil, fmt.Errorf("privmem: appliance attack: %w: no tracked devices in home", errBadInput)
+	}
+	inferred, err := nilm.PowerPlay(w.Metered, models, nilm.DefaultPowerPlayConfig())
+	if err != nil {
+		return nil, nil, fmt.Errorf("privmem: appliance attack: %w", err)
+	}
+	errs, err := nilm.Evaluate(truth, inferred)
+	if err != nil {
+		return nil, nil, fmt.Errorf("privmem: appliance attack: %w", err)
+	}
+	return errs, inferred, nil
+}
+
+// Defense selects a meter-data defense in DefenseMatrix.
+type Defense int
+
+// The defenses compared by EnergyWorld.DefenseMatrix.
+const (
+	DefenseNone Defense = iota + 1
+	DefenseCHPr
+	DefenseNILL
+	DefenseStepping
+	DefenseDP
+)
+
+// String implements fmt.Stringer.
+func (d Defense) String() string {
+	switch d {
+	case DefenseNone:
+		return "none"
+	case DefenseCHPr:
+		return "chpr"
+	case DefenseNILL:
+		return "nill"
+	case DefenseStepping:
+		return "stepping"
+	case DefenseDP:
+		return "dp"
+	default:
+		return fmt.Sprintf("Defense(%d)", int(d))
+	}
+}
+
 // AllDefenses lists every defense for DefenseMatrix, in presentation order.
-func AllDefenses() []Defense { return core.AllDefenses() }
+func AllDefenses() []Defense {
+	return []Defense{DefenseNone, DefenseCHPr, DefenseNILL, DefenseStepping, DefenseDP}
+}
+
+// MatrixRow is one defense's outcome against the occupancy attack.
+type MatrixRow struct {
+	// Defense identifies the row.
+	Defense Defense
+	// MCC is the attacker's score on the defended trace.
+	MCC float64
+	// Accuracy is the attacker's accuracy.
+	Accuracy float64
+	// CostNote summarizes the defense's cost.
+	CostNote string
+}
+
+// DefenseMatrix applies each defense to the world's metered trace and
+// reports the residual NIOM attack quality — the discrete tradeoff points
+// of §III the paper compares.
+func (w *EnergyWorld) DefenseMatrix(defenses []Defense) ([]MatrixRow, error) {
+	if len(defenses) == 0 {
+		return nil, fmt.Errorf("privmem: defense matrix: %w: no defenses", errBadInput)
+	}
+	rows := make([]MatrixRow, 0, len(defenses))
+	for _, d := range defenses {
+		trace := w.Metered
+		cost := "-"
+		switch d {
+		case DefenseNone:
+		case DefenseCHPr:
+			defended, masked, err := w.chprDefended()
+			if err != nil {
+				return nil, fmt.Errorf("privmem: defense matrix: %w", err)
+			}
+			// Re-meter at the world's own step: the 1-minute default would
+			// silently resample high-rate worlds for this row only.
+			mc := meter.DefaultConfig(w.Config.Seed + 1)
+			mc.Interval = w.Metered.Step
+			if trace, err = meter.Read(mc, defended); err != nil {
+				return nil, fmt.Errorf("privmem: defense matrix: %w", err)
+			}
+			cost = fmt.Sprintf("%.1f kWh heater energy", masked.EnergyWh/1000)
+		case DefenseNILL:
+			res, err := battery.NILL(w.Metered, battery.DefaultBattery())
+			if err != nil {
+				return nil, fmt.Errorf("privmem: defense matrix: %w", err)
+			}
+			trace = res.Grid
+			cost = fmt.Sprintf("%.1f kWh battery cycling", res.ThroughputWh/1000)
+		case DefenseStepping:
+			res, err := battery.Stepping(w.Metered, battery.DefaultBattery(), 500)
+			if err != nil {
+				return nil, fmt.Errorf("privmem: defense matrix: %w", err)
+			}
+			trace = res.Grid
+			cost = fmt.Sprintf("%.1f kWh battery cycling", res.ThroughputWh/1000)
+		case DefenseDP:
+			noisy, err := dprivacy.PerturbSeries(dprivacy.DefaultMechanism(w.Config.Seed), w.Metered)
+			if err != nil {
+				return nil, fmt.Errorf("privmem: defense matrix: %w", err)
+			}
+			trace = noisy
+			cost = "per-reading epsilon=1 distortion"
+		default:
+			return nil, fmt.Errorf("privmem: defense matrix: %w: unknown defense %d", errBadInput, int(d))
+		}
+		pred, err := niom.DetectThreshold(trace, niom.DefaultConfig())
+		if err != nil {
+			return nil, fmt.Errorf("privmem: defense matrix (%s): %w", d, err)
+		}
+		ev, err := niom.Evaluate(w.Trace.Occupancy, pred)
+		if err != nil {
+			return nil, fmt.Errorf("privmem: defense matrix (%s): %w", d, err)
+		}
+		rows = append(rows, MatrixRow{Defense: d, MCC: ev.MCC, Accuracy: ev.Accuracy, CostNote: cost})
+	}
+	return rows, nil
+}
+
+// chprDefended returns the CHPr row's ground truth before metering: the
+// rest-of-home load plus the CHPr heater. The CHPr heater replaces the
+// home's naive one, if it has one, and serves the same water draws, so
+// the naive heater's power is taken out of the aggregate first.
+func (w *EnergyWorld) chprDefended() (*Series, *CHPrResult, error) {
+	rest := w.Trace.Aggregate
+	if heater, ok := w.Trace.Appliances[loads.NameWaterHeater]; ok {
+		var err error
+		if rest, err = rest.Sub(heater); err != nil {
+			return nil, nil, err
+		}
+	}
+	masked, err := chpr.Mask(chpr.DefaultTank(), chpr.DefaultConfig(w.Config.Seed), rest, w.Trace.WaterDraws)
+	if err != nil {
+		return nil, nil, err
+	}
+	defended, err := rest.Add(masked.HeaterPower)
+	if err != nil {
+		return nil, nil, err
+	}
+	return defended, masked, nil
+}
+
+// HourlyProfile is a convenience for dashboards: the world's mean power per
+// local hour.
+func (w *EnergyWorld) HourlyProfile() ([24]float64, error) {
+	var out [24]float64
+	var counts [24]int
+	for i, v := range w.Metered.Values {
+		h := w.Metered.TimeAt(i).Hour()
+		out[h] += v
+		counts[h]++
+	}
+	for h := range out {
+		if counts[h] > 0 {
+			out[h] /= float64(counts[h])
+		}
+	}
+	return out, nil
+}
+
+// Span returns the world's simulated time range.
+func (w *EnergyWorld) Span() (time.Time, time.Time) {
+	return w.Metered.Start, w.Metered.End()
+}
 
 // SolarWorld is a regional solar scenario: a weather field, a public
 // station grid, and PV sites whose telemetry the attacks consume.
@@ -172,37 +371,24 @@ type SolarWorld struct {
 	// Sites are the PV installations.
 	Sites []SolarSite
 
-	start time.Time
-	days  int
-	seed  int64
+	days int
+	seed int64
 }
 
 // NewSolarWorld builds the 10-site fleet of Figure 5 under a fresh weather
 // field spanning the given days (which should be 180+ for SunSpot's
 // seasonal fit to work well).
 func NewSolarWorld(seed int64, days int) (*SolarWorld, error) {
-	start := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
-	field, err := weather.NewField(weather.DefaultFieldConfig(seed), start, days*24, 41)
+	field, stations, sites, err := solarsim.Figure5Region(seed, seed+7, days, 0.25)
 	if err != nil {
 		return nil, err
 	}
-	stations, err := weather.StationGrid(field, 35, 47, -89, -71, 0.25)
-	if err != nil {
-		return nil, err
-	}
-	return &SolarWorld{
-		Field:    field,
-		Stations: stations,
-		Sites:    solarsim.Fleet(seed + 7),
-		start:    start,
-		days:     days,
-		seed:     seed,
-	}, nil
+	return &SolarWorld{Field: field, Stations: stations, Sites: sites, days: days, seed: seed}, nil
 }
 
 // Generation simulates a site's telemetry at the given resolution.
 func (w *SolarWorld) Generation(site SolarSite, step time.Duration) (*Series, error) {
-	return solarsim.Generate(site, w.Field, w.start, w.days, step, w.seed)
+	return solarsim.Generate(site, w.Field, w.Field.Start(), w.days, step, w.seed)
 }
 
 // LocalizeSunSpot runs the SunSpot attack on a generation trace.
@@ -246,13 +432,7 @@ func NewNetworkWorld(seed int64, days int, activity *Series) (*NetworkWorld, err
 	if err != nil {
 		return nil, err
 	}
-	labCfg := nettrace.DefaultConfig(seed + 1)
-	labCfg.Days = 2
-	labCfg.Counts = map[nettrace.Class]int{}
-	for _, c := range nettrace.Classes() {
-		labCfg.Counts[c] = 1
-	}
-	lab, err := nettrace.Simulate(labCfg)
+	lab, err := nettrace.SimulateLab(seed + 1)
 	if err != nil {
 		return nil, err
 	}
