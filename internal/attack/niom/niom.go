@@ -242,12 +242,17 @@ func evaluate(truth, predicted *timeseries.Series, fromHour, toHour int) (Evalua
 		t = r.Binary(0.5)
 	}
 	n := min(t.Len(), predicted.Len())
-	var act, pred []float64
-	for i := 0; i < n; i++ {
-		h := t.TimeAt(i).Hour()
-		if h >= fromHour && h < toHour {
-			act = append(act, t.Values[i])
-			pred = append(pred, predicted.Values[i])
+	// Every local hour lies in [0, 24), so a whole-day score reads the
+	// series as they are.
+	act, pred := t.Values[:n], predicted.Values[:n]
+	if fromHour > 0 || toHour < 24 {
+		act, pred = make([]float64, 0, n), make([]float64, 0, n)
+		for i := 0; i < n; i++ {
+			h := t.TimeAt(i).Hour()
+			if h >= fromHour && h < toHour {
+				act = append(act, t.Values[i])
+				pred = append(pred, predicted.Values[i])
+			}
 		}
 	}
 	c, err := metrics.BinaryConfusion(act, pred)

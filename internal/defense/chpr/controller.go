@@ -172,13 +172,10 @@ func Mask(tank Tank, cfg Config, restLoad *timeseries.Series, draws []home.Water
 			p = 0
 			burstOn = false
 			burstUntil = i
-		case restLooksActive(restLoad, i, winSamples, cfg):
-			// The home is visibly active; save the thermal budget.
-			p = 0
-			burstOn = false
-			burstUntil = i
-		case !maskable[i/winSamples]:
-			// The knob left this quiet window unmasked.
+		case !maskable[i/winSamples] || restLooksActive(restLoad, i, winSamples, cfg):
+			// The knob left this window unmasked, or the home is visibly
+			// active; either way save the thermal budget. The window scan
+			// runs only for maskable windows.
 			p = 0
 			burstOn = false
 			burstUntil = i

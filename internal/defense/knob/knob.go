@@ -13,6 +13,7 @@ package knob
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"privmem/internal/defense/chpr"
 	"privmem/internal/home"
 	"privmem/internal/metrics"
+	"privmem/internal/par"
 	"privmem/internal/timeseries"
 )
 
@@ -82,44 +84,40 @@ func Frontier(cfg home.Config, lambdas []float64, seed int64) ([]Point, error) {
 
 	settings := append([]float64{0}, lambdas...)
 	sort.Float64s(settings)
-	out := make([]Point, 0, len(settings))
-	seen := map[float64]bool{}
-	for _, l := range settings {
-		if seen[l] {
-			continue
-		}
-		seen[l] = true
-		var defended *timeseries.Series
-		var energy float64
+	settings = slices.Compact(settings)
+	// Each setting masks with its own seeded controller over the shared,
+	// read-only trace, so the settings run concurrently into fixed slots.
+	out := make([]Point, len(settings))
+	err = par.For(len(settings), func(i int) error {
+		l := settings[i]
+		defended := undefended
+		energy := base.EnergyWh
 		var violations int
-		if l == 0 {
-			defended = undefended
-			energy = base.EnergyWh
-		} else {
+		if l != 0 {
 			mcfg := chpr.DefaultConfig(seed)
 			mcfg.MaskFraction = l
 			masked, err := chpr.Mask(tank, mcfg, tr.Aggregate, tr.WaterDraws)
 			if err != nil {
-				return nil, fmt.Errorf("knob frontier lambda %v: %w", l, err)
+				return fmt.Errorf("knob frontier lambda %v: %w", l, err)
 			}
 			defended, err = tr.Aggregate.Add(masked.HeaterPower)
 			if err != nil {
-				return nil, fmt.Errorf("knob frontier: %w", err)
+				return fmt.Errorf("knob frontier: %w", err)
 			}
 			energy = masked.EnergyWh
 			violations = masked.ComfortViolations
 		}
 		mcc, err := attackMCC(tr, defended)
 		if err != nil {
-			return nil, fmt.Errorf("knob frontier lambda %v: %w", l, err)
+			return fmt.Errorf("knob frontier lambda %v: %w", l, err)
 		}
 		defHourly, err := defended.Resample(time.Hour)
 		if err != nil {
-			return nil, fmt.Errorf("knob frontier: %w", err)
+			return fmt.Errorf("knob frontier: %w", err)
 		}
 		uerr, err := metrics.MAPE(baseHourly.Values, defHourly.Values)
 		if err != nil {
-			return nil, fmt.Errorf("knob frontier: %w", err)
+			return fmt.Errorf("knob frontier: %w", err)
 		}
 		gain := 0.0
 		if baseMCC > 0 {
@@ -131,14 +129,18 @@ func Frontier(cfg home.Config, lambdas []float64, seed int64) ([]Point, error) {
 				gain = 1
 			}
 		}
-		out = append(out, Point{
+		out[i] = Point{
 			Lambda:            l,
 			AttackMCC:         mcc,
 			PrivacyGain:       gain,
 			UtilityErr:        uerr,
 			ExtraEnergyWh:     energy - base.EnergyWh,
 			ComfortViolations: violations,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"privmem/internal/home"
 	"privmem/internal/metrics"
 	"privmem/internal/nettrace"
+	"privmem/internal/par"
 	"privmem/internal/solarsim"
 	"privmem/internal/stats"
 	"privmem/internal/timeseries"
@@ -68,16 +69,23 @@ func AblationNIOMDetector(opts Options) (*Report, error) {
 			"the default combines a moderate window, majority smoothing, and the large-edge test",
 		},
 	}
+	// The homes do not depend on the variant: build each once, concurrently
+	// into fixed slots, and let every variant's detector read them.
+	traces := make([]*home.Trace, nHomes)
+	meters := make([]*timeseries.Series, nHomes)
+	err := par.For(nHomes, func(h int) (err error) {
+		cfg := home.RandomConfig(seed+200, h)
+		cfg.Days = days
+		traces[h], meters[h], err = home.SimulateMetered(cfg, seed+int64(h))
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation niom: %w", err)
+	}
 	for vi, v := range variants {
 		var mccs, accs []float64
-		for h := 0; h < nHomes; h++ {
-			cfg := home.RandomConfig(seed+200, h)
-			cfg.Days = days
-			tr, m, err := home.SimulateMetered(cfg, seed+int64(h))
-			if err != nil {
-				return nil, fmt.Errorf("ablation niom: %w", err)
-			}
-			pred, err := niom.DetectThreshold(m, v.cfg)
+		for h, tr := range traces {
+			pred, err := niom.DetectThreshold(meters[h], v.cfg)
 			if err != nil {
 				return nil, fmt.Errorf("ablation niom %q: %w", v.name, err)
 			}

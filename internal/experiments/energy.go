@@ -8,6 +8,7 @@ import (
 	"privmem/internal/defense/chpr"
 	"privmem/internal/home"
 	"privmem/internal/meter"
+	"privmem/internal/par"
 	"privmem/internal/stats"
 	"privmem/internal/timeseries"
 )
@@ -92,26 +93,27 @@ func figure1SeriesUncached(opts Options) ([]figure1Home, []string, error) {
 	cfgB.ActivityRatePerHour = 2.2
 	cfgB.LaundryDays = []time.Weekday{cfgB.Start.Weekday()}
 
-	var homes []figure1Home
-	for _, cfg := range []home.Config{cfgA, cfgB} {
-		var chosen figure1Home
-		found := false
-		for attempt := int64(0); attempt < 25 && !found; attempt++ {
+	// Each home scans its own seeds, so the two scans run concurrently into
+	// fixed slots.
+	cfgs := []home.Config{cfgA, cfgB}
+	homes := make([]figure1Home, len(cfgs))
+	err := par.For(len(cfgs), func(i int) error {
+		cfg := cfgs[i]
+		for attempt := int64(0); attempt < 25; attempt++ {
 			cfg.Seed += attempt
 			tr, m, err := home.SimulateMetered(cfg, cfg.Seed)
 			if err != nil {
-				return nil, nil, fmt.Errorf("figure 1: %w", err)
+				return fmt.Errorf("figure 1: %w", err)
 			}
-			occ := tr.Occupancy.Mean()
-			if occ > 0.3 && occ < 0.95 {
-				chosen = figure1Home{power: m, occ: tr.Occupancy}
-				found = true
+			if occ := tr.Occupancy.Mean(); occ > 0.3 && occ < 0.95 {
+				homes[i] = figure1Home{power: m, occ: tr.Occupancy}
+				return nil
 			}
 		}
-		if !found {
-			return nil, nil, fmt.Errorf("figure 1: no representative day within 25 seeds of %d", cfg.Seed)
-		}
-		homes = append(homes, chosen)
+		return fmt.Errorf("figure 1: no representative day within 25 seeds of %d", cfg.Seed)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return homes, []string{"Home-A", "Home-B"}, nil
 }
@@ -214,24 +216,27 @@ func chprWorld(opts Options) (*chprWorkload, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The thermostat baseline and the CHPr mask each run their own tank
+		// over the shared, read-only trace, so they run concurrently.
 		tank := chpr.DefaultTank()
-		base, err := chpr.Baseline(tank, tr.WaterDraws, tr.Aggregate)
+		w := &chprWorkload{tr: tr}
+		err = par.Do(func() (err error) {
+			if w.base, err = chpr.Baseline(tank, tr.WaterDraws, tr.Aggregate); err != nil {
+				return err
+			}
+			w.orig, err = tr.Aggregate.Add(w.base.HeaterPower)
+			return err
+		}, func() (err error) {
+			if w.masked, err = chpr.Mask(tank, chpr.DefaultConfig(seed), tr.Aggregate, tr.WaterDraws); err != nil {
+				return err
+			}
+			w.defended, err = tr.Aggregate.Add(w.masked.HeaterPower)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		masked, err := chpr.Mask(tank, chpr.DefaultConfig(seed), tr.Aggregate, tr.WaterDraws)
-		if err != nil {
-			return nil, err
-		}
-		orig, err := tr.Aggregate.Add(base.HeaterPower)
-		if err != nil {
-			return nil, err
-		}
-		defended, err := tr.Aggregate.Add(masked.HeaterPower)
-		if err != nil {
-			return nil, err
-		}
-		return &chprWorkload{tr: tr, base: base, masked: masked, orig: orig, defended: defended}, nil
+		return w, nil
 	})
 }
 
@@ -257,31 +262,36 @@ func TableNIOMAccuracy(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table niom: %w", err)
 	}
-	var accs []float64
-	for i := 0; i < nHomes; i++ {
-		h := pop[i]
-		m := h.metered
+	// Each home's two detectors only read its memoized streams, so the
+	// homes are scored concurrently into fixed slots.
+	type niomRow struct{ thr, hmm niom.Evaluation }
+	rows := make([]niomRow, nHomes)
+	err = par.For(nHomes, func(i int) error {
+		m, occ := pop[i].metered, pop[i].occupancy
 		predT, err := niom.DetectThreshold(m, niom.DefaultConfig())
 		if err != nil {
-			return nil, fmt.Errorf("table niom: %w", err)
+			return err
 		}
-		evT, err := niom.EvaluateDaytime(h.occupancy, predT, 8, 23)
-		if err != nil {
-			return nil, fmt.Errorf("table niom: %w", err)
+		if rows[i].thr, err = niom.EvaluateDaytime(occ, predT, 8, 23); err != nil {
+			return err
 		}
 		predH, err := niom.DetectHMM(m, niom.DefaultConfig())
 		if err != nil {
-			return nil, fmt.Errorf("table niom: %w", err)
+			return err
 		}
-		evH, err := niom.EvaluateDaytime(h.occupancy, predH, 8, 23)
-		if err != nil {
-			return nil, fmt.Errorf("table niom: %w", err)
-		}
+		rows[i].hmm, err = niom.EvaluateDaytime(occ, predH, 8, 23)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("table niom: %w", err)
+	}
+	accs := make([]float64, nHomes)
+	for i, r := range rows {
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("home-%02d", i+1), fmt.Sprint(h.occupants),
-			f(evT.Accuracy), f(evT.MCC), f(evH.Accuracy), f(evH.MCC),
+			fmt.Sprintf("home-%02d", i+1), fmt.Sprint(pop[i].occupants),
+			f(r.thr.Accuracy), f(r.thr.MCC), f(r.hmm.Accuracy), f(r.hmm.MCC),
 		})
-		accs = append(accs, evT.Accuracy)
+		accs[i] = r.thr.Accuracy
 	}
 	rep.Metrics["threshold_acc_mean"] = stats.Mean(accs)
 	rep.Metrics["threshold_acc_min"] = stats.Quantile(accs, 0)
@@ -301,15 +311,21 @@ type niomHome struct {
 func niomPopulation(opts Options, nHomes, days int) ([]niomHome, error) {
 	return memoWorld(memoKey("niompop", opts), func() ([]niomHome, error) {
 		seed := opts.seed()
-		pop := make([]niomHome, 0, nHomes)
-		for i := 0; i < nHomes; i++ {
+		// Each home owns its seeded generators, so the homes simulate
+		// concurrently into fixed slots.
+		pop := make([]niomHome, nHomes)
+		err := par.For(nHomes, func(i int) error {
 			cfg := home.RandomConfig(seed, i)
 			cfg.Days = days
 			tr, m, err := home.SimulateMetered(cfg, seed+int64(i))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			pop = append(pop, niomHome{occupants: cfg.Occupants, metered: m, occupancy: tr.Occupancy})
+			pop[i] = niomHome{occupants: cfg.Occupants, metered: m, occupancy: tr.Occupancy}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return pop, nil
 	})

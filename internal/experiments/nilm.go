@@ -10,6 +10,7 @@ import (
 	"privmem/internal/defense/battery"
 	"privmem/internal/home"
 	"privmem/internal/loads"
+	"privmem/internal/par"
 	"privmem/internal/timeseries"
 )
 
@@ -316,6 +317,7 @@ func TableBatteryDefense(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table battery: %w", err)
 	}
+	baseEdges := edgeCount(load)
 
 	rep := &Report{
 		ID:    "t4",
@@ -323,9 +325,9 @@ func TableBatteryDefense(opts Options) (*Report, error) {
 		Headers: []string{"defense", "battery", "edges", "NIOM MCC",
 			"cycled kWh", "saturated %"},
 		Rows: [][]string{{
-			"none", "-", fmt.Sprint(edgeCount(load)), f(baseMCC), "0.0", "0.0",
+			"none", "-", fmt.Sprint(baseEdges), f(baseMCC), "0.0", "0.0",
 		}},
-		Metrics: map[string]float64{"mcc_undefended": baseMCC, "edges_undefended": float64(edgeCount(load))},
+		Metrics: map[string]float64{"mcc_undefended": baseMCC, "edges_undefended": float64(baseEdges)},
 		Notes: []string{
 			"bigger batteries hide more switching events (fewer residual edges) at higher cycling cost; MCC is already near chance for all sizes",
 			"unlike CHPr, the battery is pure cost: it serves no other purpose",
@@ -339,41 +341,51 @@ func TableBatteryDefense(opts Options) (*Report, error) {
 		{"6.8 kWh / 3.3 kW", battery.Battery{CapacityWh: 6750, MaxChargeW: 3300, MaxDischargeW: 3300, Efficiency: 0.95, InitialSoC: 0.5}},
 		{"13.5 kWh / 5 kW", battery.DefaultBattery()},
 	}
-	for _, sz := range sizes {
-		nill, err := battery.NILL(load, sz.b)
-		if err != nil {
-			return nil, fmt.Errorf("table battery: %w", err)
-		}
-		stepres, err := battery.Stepping(load, sz.b, 500)
-		if err != nil {
-			return nil, fmt.Errorf("table battery: %w", err)
-		}
-		for _, entry := range []struct {
-			name string
-			res  *battery.Result
-		}{{"NILL", nill}, {"stepping-500W", stepres}} {
-			m, err := mcc(entry.res.Grid)
-			if err != nil {
-				return nil, fmt.Errorf("table battery: %w", err)
-			}
-			rep.Rows = append(rep.Rows, []string{
-				entry.name, sz.label,
-				fmt.Sprint(edgeCount(entry.res.Grid)), f(m),
-				f1dp(entry.res.ThroughputWh / 1000),
-				f1dp(100 * float64(entry.res.SaturatedSteps) / float64(load.Len())),
-			})
-		}
+	defenses := []struct {
+		name string
+		run  func(*timeseries.Series, battery.Battery) (*battery.Result, error)
+	}{
+		{"NILL", battery.NILL},
+		{"stepping-500W", func(load *timeseries.Series, b battery.Battery) (*battery.Result, error) {
+			return battery.Stepping(load, b, 500)
+		}},
 	}
-	last, err := battery.NILL(load, battery.DefaultBattery())
+	// Every (size, defense) pair runs over the shared, read-only load, so
+	// the pairs run concurrently into fixed slots, size-major.
+	type defended struct {
+		res   *battery.Result
+		edges int
+		mcc   float64
+	}
+	rows := make([]defended, len(sizes)*len(defenses))
+	err = par.For(len(rows), func(k int) error {
+		res, err := defenses[k%len(defenses)].run(load, sizes[k/len(defenses)].b)
+		if err != nil {
+			return err
+		}
+		m, err := mcc(res.Grid)
+		if err != nil {
+			return err
+		}
+		rows[k] = defended{res: res, edges: edgeCount(res.Grid), mcc: m}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("table battery: %w", err)
 	}
-	m, err := mcc(last.Grid)
-	if err != nil {
-		return nil, fmt.Errorf("table battery: %w", err)
+	for k, d := range rows {
+		rep.Rows = append(rep.Rows, []string{
+			defenses[k%len(defenses)].name, sizes[k/len(defenses)].label,
+			fmt.Sprint(d.edges), f(d.mcc),
+			f1dp(d.res.ThroughputWh / 1000),
+			f1dp(100 * float64(d.res.SaturatedSteps) / float64(load.Len())),
+		})
 	}
-	rep.Metrics["mcc_nill_large"] = m
-	rep.Metrics["edges_nill_large"] = float64(edgeCount(last.Grid))
+	// The largest size is battery.DefaultBattery(): its NILL row is the
+	// headline.
+	large := rows[(len(sizes)-1)*len(defenses)]
+	rep.Metrics["mcc_nill_large"] = large.mcc
+	rep.Metrics["edges_nill_large"] = float64(large.edges)
 	return rep, nil
 }
 

@@ -339,19 +339,23 @@ func localIoTWorld(opts Options) (*localIoTWorkload, error) {
 		if opts.Quick {
 			cfg.Days = 4
 		}
-		tr, m, err := home.SimulateMetered(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
 		// The daily-totals probe needs extended absences to have anything to
-		// find: give the probe home a weekend trip.
+		// find: give the probe home a weekend trip. The two homes are
+		// independent, so they simulate concurrently.
 		vcfg := home.DefaultConfig(seed + 4)
 		vcfg.Days = 14
 		vcfg.VacationDays = []int{5, 6, 12}
-		vtr, vm, err := home.SimulateMetered(vcfg, seed+4)
+		var w localIoTWorkload
+		err := par.Do(func() (err error) {
+			w.tr, w.m, err = home.SimulateMetered(cfg, seed)
+			return err
+		}, func() (err error) {
+			w.vtr, w.vm, err = home.SimulateMetered(vcfg, seed+4)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		return &localIoTWorkload{tr: tr, vtr: vtr, m: m, vm: vm}, nil
+		return &w, nil
 	})
 }

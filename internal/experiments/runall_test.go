@@ -187,10 +187,10 @@ func TestRunContext(t *testing.T) {
 // so every world, and every fan-out in it, is built in both passes.
 func TestFanOutsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders six experiments twice from cold worlds")
+		t.Skip("renders thirteen experiments twice from cold worlds")
 	}
 	defer SetWorldMemo(true)
-	ids := []string{"f2", "f5", "t5", "t6", "t8", "t9"}
+	ids := []string{"f1", "f2", "f5", "f6", "t1", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "a1"}
 	opts := Options{Quick: true, Seed: 42}
 	render := func(procs int) []string {
 		old := runtime.GOMAXPROCS(procs)

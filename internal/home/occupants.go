@@ -1,7 +1,9 @@
 package home
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"privmem/internal/stats"
@@ -102,21 +104,61 @@ func (m *occupantModel) awakeAt(t time.Time) bool {
 	if d < 0 || d >= m.cfg.Days {
 		return false
 	}
-	h := float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
+	hh, mm, ss := t.Clock()
+	h := float64(hh) + float64(mm)/60 + float64(ss)/3600
 	return h >= m.wake[d] && h < m.sleep[d]
 }
 
-// fill writes the binary occupancy and active ground-truth series.
+// fill writes the binary occupancy and active ground-truth series. Each
+// occupant's absences are painted onto the step grid once, as merged index
+// spans in a difference array, so the pass costs O(steps + absences)
+// instead of scanning every absence at every step; the series equal a
+// per-step presentAt/anyoneHome/awakeAt evaluation exactly, for any
+// occupant count and for unsorted or overlapping intervals.
 func (m *occupantModel) fill(occupancy, active *timeseries.Series) {
-	for i := 0; i < occupancy.Len(); i++ {
-		t := occupancy.TimeAt(i)
-		if m.anyoneHome(t) {
+	n := occupancy.Len()
+	// Prefix sums of away give the number of occupants absent at each step.
+	away := make([]int, n+1)
+	var spans [][2]int
+	for _, absences := range m.absences {
+		spans = spans[:0]
+		for _, iv := range absences {
+			if lo, hi := firstStepFrom(occupancy, iv.from), firstStepFrom(occupancy, iv.to); lo < hi {
+				spans = append(spans, [2]int{lo, hi})
+			}
+		}
+		// Merge overlapping spans so one occupant counts once per step.
+		slices.SortFunc(spans, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+		for j := 0; j < len(spans); {
+			lo, hi := spans[j][0], spans[j][1]
+			for j++; j < len(spans) && spans[j][0] <= hi; j++ {
+				hi = max(hi, spans[j][1])
+			}
+			away[lo]++
+			away[hi]--
+		}
+	}
+	absent := 0
+	for i := 0; i < n; i++ {
+		absent += away[i]
+		if absent < len(m.absences) {
 			occupancy.Values[i] = 1
-			if m.awakeAt(t) {
+			if m.awakeAt(occupancy.TimeAt(i)) {
 				active.Values[i] = 1
 			}
 		}
 	}
+}
+
+// firstStepFrom returns the first index i of s with s.TimeAt(i) at or after
+// t, clamped to [0, s.Len()]: the ceiling of (t - Start) / Step.
+func firstStepFrom(s *timeseries.Series, t time.Time) int {
+	d := t.Sub(s.Start)
+	i := int(d / s.Step)
+	if d%s.Step > 0 {
+		i++
+	}
+	return min(max(i, 0), s.Len())
 }
 
 // wakeOn returns the wake hour for simulation day d (clamped).
