@@ -8,23 +8,16 @@ import (
 )
 
 // BenchmarkLocalizeCold measures one Localize of a 90-day 1-minute trace
-// (Figure 5's quick span) with the forward-model and ephemeris caches
-// emptied before every iteration, as in a fresh process.
+// (Figure 5's quick span). Each Localize builds a fresh forward model, as
+// in a fresh process.
 func BenchmarkLocalizeCold(b *testing.B) {
 	gen, err := solarsim.Generate(site(), nil, ssStart, 90, time.Minute, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer resetModelWindowCache()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		resetModelWindowCache()
-		dayEphCache.Lock()
-		dayEphCache.m = make(map[int64][]dayStep)
-		dayEphCache.Unlock()
-		b.StartTimer()
 		if _, err := Localize(gen, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}

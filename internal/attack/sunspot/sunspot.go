@@ -82,12 +82,22 @@ type dayAnchor struct {
 }
 
 // Localize runs SunSpot on a generation trace (any uniform step; UTC
-// timestamps) and returns the inferred location.
+// timestamps) and returns the inferred location, through a fresh Model.
 func Localize(gen *timeseries.Series, cfg Config) (Estimate, error) {
+	return NewModel().Localize(gen, cfg)
+}
+
+// Localize runs SunSpot on a generation trace through m's forward model.
+// Estimates are identical to the package-level Localize: m only saves
+// recomputing windows another trace over the same days already needed.
+func (m *Model) Localize(gen *timeseries.Series, cfg Config) (Estimate, error) {
 	cfg = cfg.withDefaults()
 	var est Estimate
 	if err := cfg.validate(); err != nil {
 		return est, err
+	}
+	if gen == nil || gen.Step <= 0 {
+		return est, fmt.Errorf("%w: no trace, or a non-positive step", ErrBadInput)
 	}
 	perDay := int(24 * time.Hour / gen.Step)
 	if perDay < 24 || gen.Len() < perDay {
@@ -116,7 +126,7 @@ func Localize(gen *timeseries.Series, cfg Config) (Estimate, error) {
 	// *seasonal trend* of the window length depends only on latitude while
 	// the geometry offset is nearly constant. Fit (latitude, constant
 	// offset) jointly against the modeled windows across all usable days.
-	lat, err := fitLatitude(anchors, cfg)
+	lat, err := m.fitLatitude(anchors, cfg)
 	if err != nil {
 		return est, err
 	}
@@ -129,7 +139,7 @@ func Localize(gen *timeseries.Series, cfg Config) (Estimate, error) {
 // best matches the observations, allowing a constant per-site offset (the
 // signature of unknown tilt/azimuth). The offset is the robust median
 // residual; the fit minimizes the median absolute deviation around it.
-func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
+func (m *Model) fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	// Thin to at most maxFitDates evenly spaced days: the model evaluation
 	// dominates cost, and evenly spaced days preserve the seasonal span.
 	const maxFitDates = 30
@@ -147,7 +157,7 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	score := func(lat float64, tilt int) (float64, bool) {
 		resid := make([]float64, 0, len(anchors))
 		for i, a := range anchors {
-			w := modelWindows(a.date, lat, cfg.Threshold)[tilt]
+			w := m.modelWindows(a.date, lat, cfg.Threshold)[tilt]
 			if !w.ok {
 				continue
 			}
@@ -166,11 +176,11 @@ func fitLatitude(anchors []dayAnchor, cfg Config) (float64, error) {
 	}
 	// warm evaluates the forward model at every (date, lat) key the next
 	// scores read, spread over the cores. Scoring then runs serially over
-	// cache hits in a fixed order, so the fit does not depend on which
+	// model hits in a fixed order, so the fit does not depend on which
 	// goroutine computed a key.
 	warm := func(lats ...float64) {
 		_ = par.For(len(lats)*len(anchors), func(k int) error {
-			modelWindows(anchors[k%len(anchors)].date, lats[k/len(anchors)], cfg.Threshold)
+			m.modelWindows(anchors[k%len(anchors)].date, lats[k/len(anchors)], cfg.Threshold)
 			return nil
 		})
 	}
@@ -224,13 +234,12 @@ const (
 // with latitude; the forward model evaluates all of them in one pass.
 var modelTiltsDeg = [...]float64{18, 25, 32}
 
-// modelWindowCacheCap bounds the forward-model cache. The attack's working
-// set — fit dates × probed latitudes — is a few hundred thousand lookups
-// but only thousands of distinct keys, far below the cap; clearing on
-// overflow only fires under adversarial key churn and costs one
-// recomputation pass. A variable (not a const) so the eviction test can
-// shrink it without doing 2^17 real model evaluations.
-var modelWindowCacheCap = 1 << 17
+// modelStepMin is the forward model's evaluation cadence in minutes; each
+// day's solar-term table is laid out at the same cadence.
+const modelStepMin = 3
+
+// modelSteps is the number of forward-model instants per day.
+const modelSteps = 24 * 60 / modelStepMin
 
 // windowKey identifies one forward-model evaluation. The date is reduced to
 // its UTC day, matching modelWindows' own truncation.
@@ -245,79 +254,11 @@ type windowVal struct {
 	ok      bool
 }
 
-// windowEntry is one key's cached windows, computed exactly once.
+// windowEntry is one key's windows, computed exactly once.
 type windowEntry struct {
 	once sync.Once
 	v    [len(modelTiltsDeg)]windowVal
 }
-
-// modelWindowCache memoizes computeModelWindows across sites and runs. The
-// mutex guards only the map; each entry's Once makes concurrent callers of
-// one key share a single compute, so every key is evaluated once.
-var modelWindowCache = struct {
-	sync.Mutex
-	m map[windowKey]*windowEntry
-}{m: make(map[windowKey]*windowEntry)}
-
-// modelWindowComputes counts forward-model evaluations (tests).
-var modelWindowComputes atomic.Int64
-
-// resetModelWindowCache empties the cache and zeroes the compute count
-// (tests).
-func resetModelWindowCache() {
-	modelWindowCache.Lock()
-	modelWindowCache.m = make(map[windowKey]*windowEntry)
-	modelWindowCache.Unlock()
-	modelWindowComputes.Store(0)
-}
-
-// modelWindowCacheLen reports the cache's current entry count (tests).
-func modelWindowCacheLen() int {
-	modelWindowCache.Lock()
-	defer modelWindowCache.Unlock()
-	return len(modelWindowCache.m)
-}
-
-// modelWindows returns the modeled production windows of a clear-sky,
-// south-facing reference panel at the given latitude and date, one per
-// candidate tilt in modelTiltsDeg, using the same fractional threshold as
-// the attack. A window's ok is false on polar days. Results are memoized:
-// the latitude search re-evaluates the same (day, grid-latitude) pairs for
-// every site, and repeated runs over the same season hit a warm cache.
-//
-//lint:trust modelWindows mutex-guarded once-per-key pure-function memo: the cached value is a deterministic function of the key, so hit/miss order cannot change any result
-func modelWindows(date time.Time, lat, thresholdFrac float64) [len(modelTiltsDeg)]windowVal {
-	day := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
-	k := windowKey{day: day.Unix(), lat: lat, thr: thresholdFrac}
-	modelWindowCache.Lock()
-	e := modelWindowCache.m[k]
-	if e == nil {
-		if len(modelWindowCache.m) >= modelWindowCacheCap {
-			modelWindowCache.m = make(map[windowKey]*windowEntry)
-		}
-		e = new(windowEntry)
-		modelWindowCache.m[k] = e
-	}
-	modelWindowCache.Unlock()
-	e.once.Do(func() {
-		modelWindowComputes.Add(1)
-		e.v = computeModelWindows(day, lat, thresholdFrac)
-	})
-	return e.v
-}
-
-// modelStepMin is the forward model's evaluation cadence in minutes; the
-// per-day ephemeris cache below is laid out at the same cadence.
-const modelStepMin = 3
-
-// modelSteps is the number of forward-model instants per day.
-const modelSteps = 24 * 60 / modelStepMin
-
-// dayEphCacheCap bounds the per-day ephemeris cache: each entry is one UTC
-// day's 480 precomputed (equation-of-time, declination) pairs (~8 kB). A
-// year-long localization sweep needs ~365 entries; the cap only fires under
-// adversarial date churn and costs one recomputation pass.
-var dayEphCacheCap = 4096
 
 // dayStep is one model-grid instant's location-independent solar terms:
 // the declination trigonometry plus the hour angle at the model longitude
@@ -328,48 +269,87 @@ type dayStep struct {
 	ha  sun.HourAngle
 }
 
-// dayEphCache memoizes the location-independent solar terms per UTC day.
-// The latitude fit evaluates the same dates for every probed latitude, so
-// hoisting the trigonometry that does not depend on the candidate latitude
-// pays for itself on the first grid row. sun.EphemerisAt is pure, so a
-// racing duplicate compute stores the identical value.
-var dayEphCache = struct {
-	sync.RWMutex
-	m map[int64][]dayStep
-}{m: make(map[int64][]dayStep)}
-
-// dayEphemeris returns day's solar-term table at modelStepMin cadence; day
-// must already be truncated to UTC midnight.
-func dayEphemeris(day time.Time) []dayStep {
-	key := day.Unix()
-	dayEphCache.RLock()
-	eph, hit := dayEphCache.m[key]
-	dayEphCache.RUnlock()
-	if hit {
-		return eph
-	}
-	eph = make([]dayStep, modelSteps)
-	for i := range eph {
-		t := day.Add(time.Duration(i*modelStepMin) * time.Minute)
-		te := sun.EphemerisAt(t).Trig()
-		eph[i] = dayStep{eph: te, ha: sun.HourAngleAt(t, te, 0)}
-	}
-	dayEphCache.Lock()
-	if len(dayEphCache.m) >= dayEphCacheCap {
-		dayEphCache.m = make(map[int64][]dayStep)
-	}
-	dayEphCache.m[key] = eph
-	dayEphCache.Unlock()
-	return eph
+// dayEntry is one UTC day's solar-term table, computed exactly once.
+type dayEntry struct {
+	once  sync.Once
+	steps []dayStep
 }
 
-// computeModelWindows is the uncached forward model for every candidate
-// tilt; day must already be truncated to UTC midnight. Each instant's
+// Model is SunSpot's clear-sky forward model with its evaluations kept.
+// The latitude fit re-evaluates the same (day, latitude) keys for every
+// site over the same season, so one Model shared by the traces of one
+// world computes each key once. Every value is a pure function of its
+// key, so sharing a Model never changes an estimate. A Model is safe for
+// concurrent use and holds memory for every key it has seen; it is meant
+// to live as long as the world whose traces it localizes.
+type Model struct {
+	mu      sync.Mutex
+	windows map[windowKey]*windowEntry
+	days    map[int64]*dayEntry
+	// computes counts forward-model evaluations (tests).
+	computes atomic.Int64
+}
+
+// NewModel returns an empty forward model.
+func NewModel() *Model {
+	return &Model{
+		windows: make(map[windowKey]*windowEntry),
+		days:    make(map[int64]*dayEntry),
+	}
+}
+
+// modelWindows returns the modeled production windows of a clear-sky,
+// south-facing reference panel at the given latitude and date, one per
+// candidate tilt in modelTiltsDeg, using the same fractional threshold as
+// the attack. A window's ok is false on polar days. Each key is computed
+// once per Model; concurrent callers of one key share that compute.
+func (m *Model) modelWindows(date time.Time, lat, thresholdFrac float64) [len(modelTiltsDeg)]windowVal {
+	day := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
+	k := windowKey{day: day.Unix(), lat: lat, thr: thresholdFrac}
+	m.mu.Lock()
+	e := m.windows[k]
+	if e == nil {
+		e = new(windowEntry)
+		m.windows[k] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		m.computes.Add(1)
+		e.v = computeModelWindows(m.dayEphemeris(day), lat, thresholdFrac)
+	})
+	return e.v
+}
+
+// dayEphemeris returns day's solar-term table at modelStepMin cadence; day
+// must already be truncated to UTC midnight. The latitude fit evaluates
+// the same dates for every probed latitude, so the trigonometry that does
+// not depend on the candidate latitude is computed once per day.
+func (m *Model) dayEphemeris(day time.Time) []dayStep {
+	key := day.Unix()
+	m.mu.Lock()
+	e := m.days[key]
+	if e == nil {
+		e = new(dayEntry)
+		m.days[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		e.steps = make([]dayStep, modelSteps)
+		for i := range e.steps {
+			t := day.Add(time.Duration(i*modelStepMin) * time.Minute)
+			te := sun.EphemerisAt(t).Trig()
+			e.steps[i] = dayStep{eph: te, ha: sun.HourAngleAt(t, te, 0)}
+		}
+	})
+	return e.steps
+}
+
+// computeModelWindows is the forward model for every candidate tilt over
+// one day's solar-term table (dayEphemeris). Each instant's
 // tilt-independent sky terms are computed once and finished per tilt;
 // sun.PlateSite.FromSky over a shared Sky is bit-identical to
 // sun.PlateOutputEph at each tilt.
-func computeModelWindows(day time.Time, lat, thresholdFrac float64) (out [len(modelTiltsDeg)]windowVal) {
-	eph := dayEphemeris(day)
+func computeModelWindows(eph []dayStep, lat, thresholdFrac float64) (out [len(modelTiltsDeg)]windowVal) {
 	var sites [len(modelTiltsDeg)]sun.PlateSite
 	for j, tilt := range modelTiltsDeg {
 		sites[j] = sun.NewPlateSite(lat, 0, tilt, modelAzimuthDeg, modelDiffuse)
@@ -493,23 +473,4 @@ func interpFrac(outer, inner, thr float64) float64 {
 	}
 	f := (inner - thr) / (inner - outer)
 	return max(0, min(1, f))
-}
-
-// DebugAnchor exposes one extracted solar-day anchor for diagnostics.
-type DebugAnchor struct {
-	// Date is the UTC date the times are relative to.
-	Date time.Time
-	// SunriseMin and SunsetMin are minutes after midnight UTC of Date.
-	SunriseMin, SunsetMin float64
-}
-
-// DebugAnchors exposes the attack's extracted anchors for diagnostics and
-// tests.
-func DebugAnchors(gen *timeseries.Series, cfg Config) []DebugAnchor {
-	cfg = cfg.withDefaults()
-	out := []DebugAnchor{}
-	for _, a := range extractAnchors(gen, cfg) {
-		out = append(out, DebugAnchor{Date: a.date, SunriseMin: a.sunriseMin, SunsetMin: a.sunsetMin})
-	}
-	return out
 }

@@ -103,6 +103,13 @@ func TestLocalizeValidation(t *testing.T) {
 	if _, err := Localize(coarse, DefaultConfig()); !errors.Is(err, ErrBadInput) {
 		t.Errorf("coarse step error = %v", err)
 	}
+	zeroStep := &timeseries.Series{Start: ssStart, Values: make([]float64, 30*1440)}
+	if _, err := Localize(zeroStep, DefaultConfig()); !errors.Is(err, ErrBadInput) {
+		t.Errorf("zero step error = %v", err)
+	}
+	if _, err := Localize(nil, DefaultConfig()); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil trace error = %v", err)
+	}
 }
 
 func TestAnchorsSkipOvercastDays(t *testing.T) {
@@ -116,16 +123,16 @@ func TestAnchorsSkipOvercastDays(t *testing.T) {
 			gen.Values[i] = 0
 		}
 	}
-	anchors := DebugAnchors(gen, DefaultConfig())
+	anchors := extractAnchors(gen, DefaultConfig())
 	// 12 days minus 4 overcast minus the first/last (array-edge guard).
 	if len(anchors) < 6 || len(anchors) > 8 {
 		t.Errorf("got %d anchors", len(anchors))
 	}
 	for _, a := range anchors {
-		if a.SunsetMin <= a.SunriseMin {
+		if a.sunsetMin <= a.sunriseMin {
 			t.Errorf("anchor inverted: %+v", a)
 		}
-		if l := a.SunsetMin - a.SunriseMin; l < 4*60 || l > 20*60 {
+		if l := a.sunsetMin - a.sunriseMin; l < 4*60 || l > 20*60 {
 			t.Errorf("anchor length %.0f min implausible", l)
 		}
 	}

@@ -277,10 +277,11 @@ func AblationSunSpotDataSpan(opts Options) (*Report, error) {
 			"latitude is identified by the seasonal day-length trend, so short spans degrade sharply",
 		},
 	}
+	model := sunspot.NewModel()
 	for _, days := range spans {
 		sub := gen.Slice(0, days*1440)
 		km := -1.0
-		if est, err := sunspot.Localize(sub, sunspot.DefaultConfig()); err == nil {
+		if est, err := model.Localize(sub, sunspot.DefaultConfig()); err == nil {
 			km = metrics.HaversineKm(site.Lat, site.Lon, est.Lat, est.Lon)
 		}
 		rep.Rows = append(rep.Rows, []string{fmt.Sprint(days), f1dp(km)})

@@ -67,13 +67,15 @@ type siteLocalization struct {
 
 // solarLocWorld runs both localization attacks over the fleet world and
 // returns the per-site error distances. Sites are independent, so they
-// localize concurrently.
+// localize concurrently. They share one SunSpot forward model: their traces
+// cover the same days, so each (day, latitude) key is computed once.
 func solarLocWorld(w *solarFleetWorkload) ([]siteLocalization, error) {
 	locs := make([]siteLocalization, len(w.sites))
+	model := sunspot.NewModel()
 	err := par.For(len(w.sites), func(i int) error {
 		s, gen := w.sites[i], w.gens[i]
 		loc := siteLocalization{ssKm: -1, wmKm: -1}
-		if est, err := sunspot.Localize(gen, sunspot.DefaultConfig()); err == nil {
+		if est, err := model.Localize(gen, sunspot.DefaultConfig()); err == nil {
 			loc.ssKm = metrics.HaversineKm(s.Lat, s.Lon, est.Lat, est.Lon)
 		}
 		hourly, err := gen.Resample(time.Hour)

@@ -373,6 +373,9 @@ type SolarWorld struct {
 
 	days int
 	seed int64
+	// sunspotModel is the forward model every LocalizeSunSpot call shares: the
+	// world's sites cover the same days.
+	sunspotModel *sunspot.Model
 }
 
 // NewSolarWorld builds the 10-site fleet of Figure 5 under a fresh weather
@@ -383,7 +386,10 @@ func NewSolarWorld(seed int64, days int) (*SolarWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SolarWorld{Field: field, Stations: stations, Sites: sites, days: days, seed: seed}, nil
+	return &SolarWorld{
+		Field: field, Stations: stations, Sites: sites, days: days, seed: seed,
+		sunspotModel: sunspot.NewModel(),
+	}, nil
 }
 
 // Generation simulates a site's telemetry at the given resolution.
@@ -393,7 +399,7 @@ func (w *SolarWorld) Generation(site SolarSite, step time.Duration) (*Series, er
 
 // LocalizeSunSpot runs the SunSpot attack on a generation trace.
 func (w *SolarWorld) LocalizeSunSpot(gen *Series) (SunSpotEstimate, error) {
-	return sunspot.Localize(gen, sunspot.DefaultConfig())
+	return w.sunspotModel.Localize(gen, sunspot.DefaultConfig())
 }
 
 // LocalizeWeatherman runs the Weatherman attack on a generation trace
