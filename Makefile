@@ -10,7 +10,7 @@ GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 70
-COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot
+COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot ./internal/solarsim ./internal/home
 
 # Second coverage tier: the daemon/load-generator mains are signal/listen
 # plumbing that only an end-to-end run exercises, so they carry a lower
@@ -135,12 +135,12 @@ bench-serve:
 
 # bench-experiments snapshots the per-experiment benchmarks (one per
 # reproduced figure/table plus the RunAll suite, with their headline-metric
-# columns) and the FHMM kernel benchmarks as BENCH_experiments.json — the
-# harness's cross-PR performance trajectory. The hmm package rides along so
-# the bench-diff allocs/op guard covers BenchmarkFactorialDecode (the
-# decode kernel's 7 allocs/op is a defended number).
+# columns) and the kernel benchmarks as BENCH_experiments.json — the
+# harness's cross-PR performance trajectory. The hmm, nettrace and solarsim
+# packages ride along so the bench-diff allocs/op guard covers the FHMM
+# decode and training kernels, feature extraction and grid generation.
 bench-experiments:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm \
+	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
 		| $(GO) run ./cmd/benchjson > BENCH_experiments.json
 
 # bench-armsrace snapshots the adaptive-adversary matrix benchmark (with
@@ -168,11 +168,11 @@ bench-fleet:
 BENCH_FAIL_PCT ?=
 ifneq ($(BENCH_FAIL_PCT),)
 bench-diff:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm \
+	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
 		| $(GO) run ./cmd/benchjson -diff BENCH_experiments.json -fail-pct $(BENCH_FAIL_PCT)
 else
 bench-diff:
-	-$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm \
+	-$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
 		| $(GO) run ./cmd/benchjson -diff BENCH_experiments.json
 endif
 

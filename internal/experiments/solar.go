@@ -42,14 +42,18 @@ func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
 		}
 		// Per-site generation is embarrassingly parallel: each site draws
 		// randomness only from its own seeded generator (seed+i) and reads
-		// the shared weather field, whose lookups are pure. Results land in
-		// indexed slots, so the assembled world is bit-identical to the old
-		// sequential loop (pinned by suite.RunAllDeterministic and the golden
-		// figures).
+		// the shared weather field and time grid, both read-only. Results
+		// land in indexed slots, so the assembled world is bit-identical to
+		// the old sequential loop (pinned by suite.RunAllDeterministic and
+		// the golden figures).
+		grid, err := solarsim.NewGrid(field.Start(), days, time.Minute)
+		if err != nil {
+			return nil, err
+		}
 		w := &solarFleetWorkload{stations: stations, sites: sites}
 		w.gens = make([]*timeseries.Series, len(sites))
 		err = par.For(len(sites), func(i int) (err error) {
-			w.gens[i], err = solarsim.Generate(sites[i], field, field.Start(), days, time.Minute, opts.seed()+int64(i))
+			w.gens[i], err = grid.Generate(sites[i], field, opts.seed()+int64(i))
 			return err
 		})
 		if err != nil {
@@ -252,11 +256,16 @@ func sundanceWorld(opts Options) (*sundanceWorkload, error) {
 		// metering, resampling — is seeded per-home (seed+i, RandomConfig
 		// derives from seed+50 and i) and touches only the read-only field,
 		// so homes build concurrently into indexed slots without perturbing
-		// any random stream. Bit-identical to the old sequential loop.
+		// any random stream. Bit-identical to the old sequential loop. The
+		// homes share one time grid: their traces cover the same instants.
+		grid, err := solarsim.NewGrid(start, days, time.Minute)
+		if err != nil {
+			return nil, err
+		}
 		w := &sundanceWorkload{stations: stations}
 		w.homes = make([]sundanceHome, nHomes)
 		err = par.For(nHomes, func(i int) error {
-			return buildSundanceHome(&w.homes[i], field, start, days, nHomes, seed, i)
+			return buildSundanceHome(&w.homes[i], field, grid, start, days, nHomes, seed, i)
 		})
 		if err != nil {
 			return nil, err
@@ -265,8 +274,9 @@ func sundanceWorld(opts Options) (*sundanceWorkload, error) {
 	})
 }
 
-// buildSundanceHome runs the full single-home t3 pipeline into *out.
-func buildSundanceHome(out *sundanceHome, field *weather.Field, start time.Time, days, nHomes int, seed int64, i int) error {
+// buildSundanceHome runs the full single-home t3 pipeline into *out. grid
+// must span days at one-minute steps from start.
+func buildSundanceHome(out *sundanceHome, field *weather.Field, grid *solarsim.Grid, start time.Time, days, nHomes int, seed int64, i int) error {
 	site := solarsim.Site{
 		Name:      fmt.Sprintf("pv-home-%d", i+1),
 		Lat:       41.4 + 2.2*float64(i)/float64(nHomes),
@@ -274,7 +284,7 @@ func buildSundanceHome(out *sundanceHome, field *weather.Field, start time.Time,
 		CapacityW: 4500 + 700*float64(i%4),
 		TiltDeg:   25, AzimuthDeg: 180, NoiseStd: 0.01,
 	}
-	gen, err := solarsim.Generate(site, field, start, days, time.Minute, seed+int64(i))
+	gen, err := grid.Generate(site, field, seed+int64(i))
 	if err != nil {
 		return err
 	}

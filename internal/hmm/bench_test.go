@@ -47,6 +47,23 @@ func BenchmarkFactorialDecode(b *testing.B) {
 		}
 		chains = append(chains, m)
 	}
+	other := &Model{
+		Initial: make([]float64, 8),
+		Trans:   make([][]float64, 8),
+		Means:   make([]float64, 8),
+		Stds:    make([]float64, 8),
+	}
+	for s := range 8 {
+		other.Initial[s] = 1.0 / 8
+		other.Means[s] = 40 * float64(s)
+		other.Stds[s] = 15
+		other.Trans[s] = make([]float64, 8)
+		for r := range 8 {
+			other.Trans[s][r] = 0.1 / 7
+		}
+		other.Trans[s][s] = 0.9
+	}
+	chains = append(chains, other)
 	day := 1440
 	obs = make([]float64, day)
 	for i := range obs {

@@ -66,9 +66,10 @@ func Train(obs []float64, cfg TrainConfig) (*Model, error) {
 		}
 	}
 
+	sc := newTrainScratch(len(obs), k)
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		ll, err := m.baumWelchStep(obs)
+		ll, err := m.baumWelchStep(obs, sc)
 		if err != nil {
 			return nil, fmt.Errorf("train iteration %d: %w", iter, err)
 		}
@@ -83,125 +84,197 @@ func Train(obs []float64, cfg TrainConfig) (*Model, error) {
 	return m, nil
 }
 
-// baumWelchStep runs one scaled forward-backward E step and an M step,
-// returning the data log-likelihood before the update.
-func (m *Model) baumWelchStep(obs []float64) (float64, error) {
-	k, n := m.K(), len(obs)
+// trainScratch is Train's working set, allocated once per call and reused
+// by every EM iteration. The lattices are flat n×k arrays: row t of b holds
+// step t's shifted emission probabilities at [t*k, t*k+k), and likewise for
+// the scaled forward (alpha) and backward (beta) variables and the
+// posteriors (gamma).
+type trainScratch struct {
+	k                     int
+	b, alpha, beta, gamma []float64
+	// shift and scales are per step: the emission log shift and the
+	// forward scaling factor.
+	shift, scales []float64
+	// std and logStd are each state's minStd-clamped emission std and its
+	// log, computed once per iteration instead of once per step.
+	std, logStd []float64
+	// num (k×k) and denom are the M step's expected transition counts;
+	// wsum, mean and vsum its per-state emission moments.
+	num, denom, wsum, mean, vsum []float64
+}
+
+func newTrainScratch(n, k int) *trainScratch {
+	return &trainScratch{
+		k:      k,
+		b:      make([]float64, n*k),
+		alpha:  make([]float64, n*k),
+		beta:   make([]float64, n*k),
+		gamma:  make([]float64, n*k),
+		shift:  make([]float64, n),
+		scales: make([]float64, n),
+		std:    make([]float64, k),
+		logStd: make([]float64, k),
+		num:    make([]float64, k*k),
+		denom:  make([]float64, k),
+		wsum:   make([]float64, k),
+		mean:   make([]float64, k),
+		vsum:   make([]float64, k),
+	}
+}
+
+// baumWelchStep runs one scaled forward-backward E step and an M step in
+// sc, returning the data log-likelihood before the update. sc must come
+// from newTrainScratch(len(obs), m.K()).
+//
+// Every value is computed by the same floating-point operations in the same
+// order as the textbook per-sample form kept in train_test.go: products
+// group left to right as written there, and where a loop nest is swapped
+// for locality (the M step walks the lattice once, time outermost), each
+// accumulator still receives its terms in ascending time order. Training
+// is therefore bit-identical to that form (pinned by
+// TestBaumWelchStepMatchesReference).
+func (m *Model) baumWelchStep(obs []float64, sc *trainScratch) (float64, error) {
+	k, n := sc.k, len(obs)
+	for s := 0; s < k; s++ {
+		std := m.Stds[s]
+		if std < minStd {
+			std = minStd
+		}
+		sc.std[s] = std
+		sc.logStd[s] = math.Log(std)
+	}
 	// Emission probabilities, shifted per step so the best state's emission
 	// is exp(0): a far-outlier observation would otherwise underflow every
 	// state to zero. The shift is a per-step constant, so it cancels in the
-	// posteriors and is added back to the log-likelihood.
-	b := make([][]float64, n)
-	shift := make([]float64, n)
+	// posteriors and is added back to the log-likelihood. Each row holds
+	// the log densities (logGauss's expression) until the shift is known.
 	for t, x := range obs {
-		b[t] = make([]float64, k)
-		lg := make([]float64, k)
-		shift[t] = math.Inf(-1)
-		for s := 0; s < k; s++ {
-			lg[s] = logGauss(x, m.Means[s], m.Stds[s])
-			shift[t] = max(shift[t], lg[s])
+		row := sc.b[t*k : t*k+k]
+		shift := math.Inf(-1)
+		for s := range row {
+			d := (x - m.Means[s]) / sc.std[s]
+			row[s] = -0.5*d*d - sc.logStd[s] - halfLog2Pi
+			shift = max(shift, row[s])
 		}
-		for s := 0; s < k; s++ {
-			b[t][s] = math.Exp(lg[s] - shift[t])
+		for s := range row {
+			row[s] = math.Exp(row[s] - shift)
 		}
+		sc.shift[t] = shift
 	}
 	// Scaled forward.
-	alpha := make([][]float64, n)
-	scales := make([]float64, n)
 	for t := 0; t < n; t++ {
-		alpha[t] = make([]float64, k)
-		for s := 0; s < k; s++ {
+		row, bt := sc.alpha[t*k:t*k+k], sc.b[t*k:t*k+k]
+		for s := range row {
 			var p float64
 			if t == 0 {
 				p = m.Initial[s]
 			} else {
-				for r := 0; r < k; r++ {
-					p += alpha[t-1][r] * m.Trans[r][s]
+				prev := sc.alpha[(t-1)*k : t*k]
+				for r, a := range prev {
+					p += a * m.Trans[r][s]
 				}
 			}
-			alpha[t][s] = p * b[t][s]
+			row[s] = p * bt[s]
 		}
-		for _, v := range alpha[t] {
-			scales[t] += v
+		var scale float64
+		for _, v := range row {
+			scale += v
 		}
-		if scales[t] <= 0 {
+		if scale <= 0 {
 			return 0, fmt.Errorf("%w: zero forward scale at t=%d", ErrBadModel, t)
 		}
-		for s := range alpha[t] {
-			alpha[t][s] /= scales[t]
+		for s := range row {
+			row[s] /= scale
 		}
+		sc.scales[t] = scale
 	}
 	// Scaled backward.
-	beta := make([][]float64, n)
-	beta[n-1] = make([]float64, k)
-	for s := range beta[n-1] {
-		beta[n-1][s] = 1
+	last := sc.beta[(n-1)*k:]
+	for s := range last {
+		last[s] = 1
 	}
 	for t := n - 2; t >= 0; t-- {
-		beta[t] = make([]float64, k)
-		for s := 0; s < k; s++ {
+		row := sc.beta[t*k : t*k+k]
+		bn, betaN := sc.b[(t+1)*k:(t+2)*k], sc.beta[(t+1)*k:(t+2)*k]
+		for s := range row {
+			trs := m.Trans[s]
 			var p float64
-			for r := 0; r < k; r++ {
-				p += m.Trans[s][r] * b[t+1][r] * beta[t+1][r]
+			for r := range trs {
+				p += trs[r] * bn[r] * betaN[r]
 			}
-			beta[t][s] = p / scales[t+1]
+			row[s] = p / sc.scales[t+1]
 		}
 	}
 	// Posteriors.
-	gamma := make([][]float64, n)
 	for t := 0; t < n; t++ {
-		gamma[t] = make([]float64, k)
+		row := sc.gamma[t*k : t*k+k]
+		at, bt := sc.alpha[t*k:t*k+k], sc.beta[t*k:t*k+k]
 		var norm float64
-		for s := 0; s < k; s++ {
-			gamma[t][s] = alpha[t][s] * beta[t][s]
-			norm += gamma[t][s]
+		for s := range row {
+			row[s] = at[s] * bt[s]
+			norm += row[s]
 		}
 		if norm > 0 {
-			for s := range gamma[t] {
-				gamma[t][s] /= norm
+			for s := range row {
+				row[s] /= norm
 			}
 		}
 	}
-	// M step.
-	for s := 0; s < k; s++ {
-		m.Initial[s] = gamma[0][s]
-	}
-	for s := 0; s < k; s++ {
-		var denom float64
-		num := make([]float64, k)
-		for t := 0; t < n-1; t++ {
-			for r := 0; r < k; r++ {
-				xi := alpha[t][s] * m.Trans[s][r] * b[t+1][r] * beta[t+1][r] / scales[t+1]
+	// M step: expected transitions, one pass over the lattice. m.Trans is
+	// rewritten only after the pass, so every xi reads the old matrix.
+	copy(m.Initial, sc.gamma[:k])
+	clear(sc.num)
+	clear(sc.denom)
+	for t := 0; t < n-1; t++ {
+		at := sc.alpha[t*k : t*k+k]
+		bn, betaN := sc.b[(t+1)*k:(t+2)*k], sc.beta[(t+1)*k:(t+2)*k]
+		scale := sc.scales[t+1]
+		for s, a := range at {
+			trs, num := m.Trans[s], sc.num[s*k:s*k+k]
+			for r := range trs {
+				xi := a * trs[r] * bn[r] * betaN[r] / scale
 				num[r] += xi
-				denom += xi
-			}
-		}
-		if denom > 0 {
-			for r := 0; r < k; r++ {
-				m.Trans[s][r] = num[r] / denom
+				sc.denom[s] += xi
 			}
 		}
 	}
 	for s := 0; s < k; s++ {
-		var wsum, mean float64
-		for t := 0; t < n; t++ {
-			wsum += gamma[t][s]
-			mean += gamma[t][s] * obs[t]
-		}
-		if wsum > 0 {
-			mean /= wsum
-			var vsum float64
-			for t := 0; t < n; t++ {
-				d := obs[t] - mean
-				vsum += gamma[t][s] * d * d
+		if denom := sc.denom[s]; denom > 0 {
+			for r := 0; r < k; r++ {
+				m.Trans[s][r] = sc.num[s*k+r] / denom
 			}
-			m.Means[s] = mean
-			m.Stds[s] = max(math.Sqrt(vsum/wsum), minStd)
+		}
+	}
+	// Emission moments: weighted means, then weighted variances about them.
+	clear(sc.wsum)
+	clear(sc.mean)
+	clear(sc.vsum)
+	for t, x := range obs {
+		for s, g := range sc.gamma[t*k : t*k+k] {
+			sc.wsum[s] += g
+			sc.mean[s] += g * x
+		}
+	}
+	for s := 0; s < k; s++ {
+		if sc.wsum[s] > 0 {
+			sc.mean[s] /= sc.wsum[s]
+		}
+	}
+	for t, x := range obs {
+		for s, g := range sc.gamma[t*k : t*k+k] {
+			d := x - sc.mean[s]
+			sc.vsum[s] += g * d * d
+		}
+	}
+	for s := 0; s < k; s++ {
+		if wsum := sc.wsum[s]; wsum > 0 {
+			m.Means[s] = sc.mean[s]
+			m.Stds[s] = max(math.Sqrt(sc.vsum[s]/wsum), minStd)
 		}
 	}
 	var ll float64
-	for t, sc := range scales {
-		ll += math.Log(sc) + shift[t]
+	for t, scale := range sc.scales {
+		ll += math.Log(scale) + sc.shift[t]
 	}
 	return ll, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"privmem/internal/loads"
+	"privmem/internal/par"
 )
 
 // RandomConfig derives a diverse home configuration from a base seed and a
@@ -46,17 +47,24 @@ func RandomConfig(baseSeed int64, index int) Config {
 }
 
 // Population simulates n diverse homes sharing a base seed, all starting at
-// the same instant and running for the same number of days.
+// the same instant and running for the same number of days. Each home is
+// seeded only by RandomConfig(baseSeed, i), so the homes simulate
+// concurrently into indexed slots and the result is the same at any
+// GOMAXPROCS.
 func Population(baseSeed int64, n, days int) ([]*Trace, error) {
-	traces := make([]*Trace, 0, n)
-	for i := 0; i < n; i++ {
+	traces := make([]*Trace, n)
+	err := par.For(n, func(i int) error {
 		cfg := RandomConfig(baseSeed, i)
 		cfg.Days = days
 		tr, err := Simulate(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("population home %d: %w", i, err)
+			return fmt.Errorf("population home %d: %w", i, err)
 		}
-		traces = append(traces, tr)
+		traces[i] = tr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return traces, nil
 }

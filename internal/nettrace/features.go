@@ -76,56 +76,103 @@ func WindowIndex(start, t time.Time, width time.Duration) int {
 // ExtractFeatures buckets a capture into fixed windows per device and
 // summarizes each non-empty window.
 //
-// Record indices are grouped per device into one shared slab, and each
-// device's subsequence is summarized by a single run walk over its records
-// in time order: window indices are then nondecreasing, so each window is a
-// contiguous run. The dominant producers (Simulate and Shape) emit
-// time-sorted records; a device whose records arrive out of order (possible
-// for captures read back via ReadCapture) has its index slice stable-sorted
-// by time first. The result does not depend on record order: byte counts
-// are integers, so their float64 sums are exact in any order (below 2^53);
-// the maximum and the endpoint set are order-free; and gaps are taken
-// between time-sorted flows, so they are the same sequence either way.
+// It walks the records once in time order, keeping one open window per
+// device and closing it when that device's next record lands in a later
+// window. The dominant producers (Simulate and Shape) emit time-sorted
+// records, which are walked in place; any other capture (possible for one
+// read back via ReadCapture) is walked through a stable time-sorted index
+// permutation. Either way each device sees its records in the order a
+// stable sort of its own records by time gives, so each window's
+// aggregates accumulate in one fixed order and the result does not depend
+// on record order.
 func ExtractFeatures(cap *Capture, window time.Duration) (map[string][]Features, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("%w: window %v", ErrBadConfig, window)
 	}
 	recs := cap.Records
-
-	// Group record indices by device in record order, carving per-device
-	// slices out of one slab sized by a counting pass.
-	counts := make(map[string]int, 16)
-	for i := range recs {
-		counts[recs[i].Device]++
-	}
-	slab := make([]int32, 0, len(recs))
-	byDev := make(map[string][]int32, len(counts))
-	for dev, n := range counts {
-		o := len(slab)
-		slab = slab[:o+n]
-		byDev[dev] = slab[o : o : o+n]
-	}
-	for i := range recs {
-		byDev[recs[i].Device] = append(byDev[recs[i].Device], int32(i))
-	}
-
-	out := make(map[string][]Features, len(byDev))
-	sc := &featureScratch{endpoints: make(map[string]struct{}, 16)}
-	byTime := func(a, b int32) int { return recs[a].Time.Compare(recs[b].Time) }
-	for dev, idx := range byDev {
-		if !slices.IsSortedFunc(idx, byTime) {
-			slices.SortStableFunc(idx, byTime)
+	var perm []int32
+	byTime := func(a, b FlowRecord) int { return a.Time.Compare(b.Time) }
+	if !slices.IsSortedFunc(recs, byTime) {
+		perm = make([]int32, len(recs))
+		for i := range perm {
+			perm[i] = int32(i)
 		}
-		out[dev] = extractDevice(cap, dev, idx, window, sc)
+		slices.SortStableFunc(perm, func(a, b int32) int { return byTime(recs[a], recs[b]) })
+	}
+	fw := featureWalk{start: cap.Start, window: window, byName: make(map[string]*openWindow, 16)}
+	for k := range recs {
+		i := k
+		if perm != nil {
+			i = int(perm[k])
+		}
+		fw.add(&recs[i])
+	}
+	out := make(map[string][]Features, len(fw.devices))
+	for _, d := range fw.devices {
+		fw.close(d)
+		out[d.f.Device] = d.out
 	}
 	return out, nil
 }
 
-// featureScratch is the per-call working set extractDevice reuses
-// across devices and windows.
-type featureScratch struct {
+// featureWalk is ExtractFeatures' state: one open window per device, in
+// first-seen order.
+type featureWalk struct {
+	start   time.Time
+	window  time.Duration
+	byName  map[string]*openWindow
+	devices []*openWindow
+}
+
+// openWindow is one device's window in progress and its closed windows.
+// f accumulates the open window's counts and volumes; it is open while
+// f.Flows > 0.
+type openWindow struct {
+	f         Features
+	w         int       // the open window's index
+	last      time.Time // the open window's latest flow
 	gaps      []float64
 	endpoints map[string]struct{}
+	out       []Features
+}
+
+// add folds the next record in time order into its device's open window.
+func (fw *featureWalk) add(r *FlowRecord) {
+	d := fw.byName[r.Device]
+	if d == nil {
+		d = &openWindow{f: Features{Device: r.Device}, endpoints: make(map[string]struct{}, 4)}
+		fw.byName[r.Device] = d
+		fw.devices = append(fw.devices, d)
+	}
+	w := WindowIndex(fw.start, r.Time, fw.window)
+	if d.f.Flows > 0 && w != d.w {
+		fw.close(d)
+	}
+	if d.f.Flows == 0 {
+		d.w = w
+		d.f.WindowStart = fw.start.Add(time.Duration(w) * fw.window)
+	} else {
+		d.gaps = append(d.gaps, r.Time.Sub(d.last).Seconds())
+	}
+	d.f.Flows++
+	d.f.BytesUp += float64(r.BytesUp)
+	d.f.BytesDown += float64(r.BytesDown)
+	d.f.MaxFlowUp = max(d.f.MaxFlowUp, float64(r.BytesUp))
+	d.endpoints[r.Endpoint] = struct{}{}
+	d.last = r.Time
+}
+
+// close summarizes d's open window, if any, onto d.out and empties it.
+func (fw *featureWalk) close(d *openWindow) {
+	if d.f.Flows == 0 {
+		return
+	}
+	d.f.DistinctEndpoints = len(d.endpoints)
+	summarizeWindow(&d.f, d.gaps, fw.window)
+	d.out = append(d.out, d.f)
+	d.f = Features{Device: d.f.Device}
+	clear(d.endpoints)
+	d.gaps = d.gaps[:0]
 }
 
 // summarizeWindow folds one window's gap statistics into f. A single-flow
@@ -142,41 +189,4 @@ func summarizeWindow(f *Features, gaps []float64, window time.Duration) {
 	} else {
 		f.MeanGapS = window.Seconds()
 	}
-}
-
-// extractDevice summarizes a device whose index slice is in time
-// order: windows are contiguous runs of the slice, visited in ascending
-// window order, with all aggregates accumulated in slice order.
-func extractDevice(cap *Capture, dev string, idx []int32, window time.Duration, sc *featureScratch) []Features {
-	recs := cap.Records
-	var out []Features
-	for lo := 0; lo < len(idx); {
-		w := WindowIndex(cap.Start, recs[idx[lo]].Time, window)
-		hi := lo + 1
-		for hi < len(idx) && WindowIndex(cap.Start, recs[idx[hi]].Time, window) == w {
-			hi++
-		}
-		f := Features{
-			Device:      dev,
-			WindowStart: cap.Start.Add(time.Duration(w) * window),
-			Flows:       hi - lo,
-		}
-		clear(sc.endpoints)
-		sc.gaps = sc.gaps[:0]
-		for k := lo; k < hi; k++ {
-			r := &recs[idx[k]]
-			f.BytesUp += float64(r.BytesUp)
-			f.BytesDown += float64(r.BytesDown)
-			f.MaxFlowUp = max(f.MaxFlowUp, float64(r.BytesUp))
-			sc.endpoints[r.Endpoint] = struct{}{}
-			if k > lo {
-				sc.gaps = append(sc.gaps, r.Time.Sub(recs[idx[k-1]].Time).Seconds())
-			}
-		}
-		f.DistinctEndpoints = len(sc.endpoints)
-		summarizeWindow(&f, sc.gaps, window)
-		out = append(out, f)
-		lo = hi
-	}
-	return out
 }

@@ -60,18 +60,56 @@ func (s *Site) validate() error {
 	return nil
 }
 
+// Grid is a time grid that every site generated on it shares: the
+// instants start + i·step for days whole days, and each instant's
+// location-independent solar terms. A fleet whose sites cover the same
+// days builds one Grid and generates every site on it, so the ephemeris is
+// computed once per instant rather than once per site and instant.
+type Grid struct {
+	start time.Time
+	step  time.Duration
+	// eph[i] is sun.EphemerisAt(start + i·step).Trig().
+	eph []sun.TrigEphemeris
+}
+
+// NewGrid builds the grid of days whole days from start at step. The step
+// must divide a day: any other step would end the trace short of
+// start+days, or leave it empty.
+func NewGrid(start time.Time, days int, step time.Duration) (*Grid, error) {
+	if days <= 0 || step <= 0 || (24*time.Hour)%step != 0 {
+		return nil, fmt.Errorf("generate: %w: days=%d step=%v", ErrBadSite, days, step)
+	}
+	g := &Grid{start: start, step: step, eph: make([]sun.TrigEphemeris, days*int(24*time.Hour/step))}
+	for i := range g.eph {
+		g.eph[i] = sun.EphemerisAt(g.timeAt(i)).Trig()
+	}
+	return g, nil
+}
+
+// timeAt is the grid's i-th instant, computed as timeseries.Series.TimeAt
+// computes it for the generated trace.
+func (g *Grid) timeAt(i int) time.Time {
+	return g.start.Add(time.Duration(i) * g.step)
+}
+
 // Generate simulates the site's generation telemetry at the given step over
 // [start, start+days). The weather field may be nil for always-clear skies.
-// Output units are watts AC.
+// Output units are watts AC. The step must divide a day.
 func Generate(site Site, field *weather.Field, start time.Time, days int, step time.Duration, seed int64) (*timeseries.Series, error) {
+	g, err := NewGrid(start, days, step)
+	if err != nil {
+		return nil, err
+	}
+	return g.Generate(site, field, seed)
+}
+
+// Generate simulates the site's generation telemetry over the grid, as the
+// package-level Generate does over the same start, days and step.
+func (g *Grid) Generate(site Site, field *weather.Field, seed int64) (*timeseries.Series, error) {
 	if err := site.validate(); err != nil {
 		return nil, fmt.Errorf("generate: %w", err)
 	}
-	if days <= 0 || step <= 0 {
-		return nil, fmt.Errorf("generate: %w: days=%d step=%v", ErrBadSite, days, step)
-	}
-	n := days * int(24*time.Hour/step)
-	out := timeseries.MustNew(start, step, n)
+	out := timeseries.MustNew(g.start, g.step, len(g.eph))
 	rng := rand.New(rand.NewSource(seed))
 	// Diffuse-plus-beam flat-plate model: panels see diffuse light from
 	// dawn onward regardless of orientation (which is why generation
@@ -85,9 +123,9 @@ func Generate(site Site, field *weather.Field, start time.Time, days int, step t
 	if field != nil {
 		point = field.Point(site.Lat, site.Lon)
 	}
-	for i := 0; i < n; i++ {
-		t := out.TimeAt(i)
-		poa := ps.OutputTrig(t, sun.EphemerisAt(t).Trig())
+	for i, te := range g.eph {
+		t := g.timeAt(i)
+		poa := ps.OutputTrig(t, te)
 		if poa <= 0 {
 			continue
 		}

@@ -2,10 +2,14 @@ package solarsim
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"privmem/internal/sun"
+	"privmem/internal/timeseries"
 	"privmem/internal/weather"
 )
 
@@ -168,6 +172,128 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(southSite(), nil, simStart, 0, time.Minute, 1); !errors.Is(err, ErrBadSite) {
 		t.Errorf("days error = %v", err)
+	}
+}
+
+// TestGenerateRejectsStepNotDividingDay pins the step check: a step that
+// does not divide 24 h used to return a short trace (7 min over 2 days
+// gave 410 samples, ending 10 min early) or an empty one (25 h gave 0
+// samples) with no error.
+func TestGenerateRejectsStepNotDividingDay(t *testing.T) {
+	for _, step := range []time.Duration{7 * time.Minute, 25 * time.Hour, 0, -time.Minute} {
+		if gen, err := Generate(southSite(), nil, simStart, 2, step, 1); !errors.Is(err, ErrBadSite) {
+			t.Errorf("step %v: error = %v (trace %v), want ErrBadSite", step, err, gen)
+		}
+		if _, err := NewGrid(simStart, 2, step); !errors.Is(err, ErrBadSite) {
+			t.Errorf("step %v: NewGrid error = %v, want ErrBadSite", step, err)
+		}
+	}
+	for _, step := range []time.Duration{time.Minute, 5 * time.Minute, 90 * time.Minute, 24 * time.Hour} {
+		gen, err := Generate(southSite(), nil, simStart, 2, step, 1)
+		if err != nil {
+			t.Fatalf("step %v: %v", step, err)
+		}
+		if end := gen.TimeAt(gen.Len()); !end.Equal(simStart.Add(48 * time.Hour)) {
+			t.Errorf("step %v: trace ends at %v", step, end)
+		}
+	}
+}
+
+// referenceGenerate is the per-instant Generate that the grid form
+// replaced, kept as the exactness oracle: it computes
+// sun.EphemerisAt(t).Trig() inside the loop, for every site anew.
+func referenceGenerate(site Site, field *weather.Field, start time.Time, days int, step time.Duration, seed int64) (*timeseries.Series, error) {
+	if err := site.validate(); err != nil {
+		return nil, fmt.Errorf("generate: %w", err)
+	}
+	if days <= 0 || step <= 0 {
+		return nil, fmt.Errorf("generate: %w: days=%d step=%v", ErrBadSite, days, step)
+	}
+	n := days * int(24*time.Hour/step)
+	out := timeseries.MustNew(start, step, n)
+	rng := rand.New(rand.NewSource(seed))
+	const diffuseFrac = 0.16
+	ps := sun.NewPlateSite(site.Lat, site.Lon, site.TiltDeg, site.AzimuthDeg, diffuseFrac)
+	var point weather.Point
+	if field != nil {
+		point = field.Point(site.Lat, site.Lon)
+	}
+	for i := 0; i < n; i++ {
+		t := out.TimeAt(i)
+		poa := ps.OutputTrig(t, sun.EphemerisAt(t).Trig())
+		if poa <= 0 {
+			continue
+		}
+		p := site.CapacityW / 1000 * poa
+		if field != nil {
+			p *= 1 - 0.78*point.Cloud(t)
+		}
+		if site.NoiseStd > 0 {
+			p *= 1 + site.NoiseStd*rng.NormFloat64()
+		}
+		if site.InverterLimitW > 0 && p > site.InverterLimitW {
+			p = site.InverterLimitW
+		}
+		if p < 0 {
+			p = 0
+		}
+		out.Values[i] = p
+	}
+	return out, nil
+}
+
+// TestGridGenerateMatchesReference pins generation on a shared grid to the
+// per-instant reference bit for bit, for sites that differ in latitude,
+// longitude, tilt and azimuth (with and without noise, clipping and a
+// weather field) on one grid per step, at 1- and 5-minute steps.
+func TestGridGenerateMatchesReference(t *testing.T) {
+	const days = 4
+	field, err := weather.NewField(weather.DefaultFieldConfig(5), simStart, days*24, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []Site{
+		southSite(),
+		{Name: "east", Lat: 36.2, Lon: -88, CapacityW: 7000, TiltDeg: 34, AzimuthDeg: 120, NoiseStd: 0.02},
+		{Name: "west", Lat: 46.9, Lon: -71.3, CapacityW: 3100, TiltDeg: 18, AzimuthDeg: 245, InverterLimitW: 2000},
+		{Name: "south", Lat: -33.9, Lon: 151.2, CapacityW: 4000, TiltDeg: 0, AzimuthDeg: 0},
+		{Name: "steep", Lat: 60, Lon: 10.7, CapacityW: 9000, TiltDeg: 90, AzimuthDeg: 200, NoiseStd: 0.05},
+	}
+	for _, step := range []time.Duration{time.Minute, 5 * time.Minute} {
+		grid, err := NewGrid(simStart, days, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, site := range sites {
+			for _, f := range []*weather.Field{nil, field} {
+				seed := int64(10 + i)
+				want, err := referenceGenerate(site, f, simStart, days, step, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := grid.Generate(site, f, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Start.Equal(want.Start) || got.Step != want.Step || got.Len() != want.Len() {
+					t.Fatalf("%s step %v: shape %v/%v/%d, reference %v/%v/%d", site.Name, step,
+						got.Start, got.Step, got.Len(), want.Start, want.Step, want.Len())
+				}
+				var lit int
+				for j := range want.Values {
+					if math.Float64bits(got.Values[j]) != math.Float64bits(want.Values[j]) {
+						t.Fatalf("%s step %v field %v: value[%d] = %v, reference %v",
+							site.Name, step, f != nil, j, got.Values[j], want.Values[j])
+					}
+					if want.Values[j] > 0 {
+						lit++
+					}
+				}
+				if lit == 0 {
+					t.Errorf("%s step %v: no generation to compare", site.Name, step)
+				}
+			}
+		}
 	}
 }
 
