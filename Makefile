@@ -10,7 +10,7 @@ GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 70
-COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot ./internal/solarsim ./internal/home
+COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot ./internal/solarsim ./internal/home ./internal/attack/nilm ./internal/par
 
 # Second coverage tier: the daemon/load-generator mains are signal/listen
 # plumbing that only an end-to-end run exercises, so they carry a lower

@@ -41,12 +41,18 @@ func (a *Adversary) Retrain(defendedLab *nettrace.Capture) (*Adversary, error) {
 	return fitAdversary(defendedLab, a.window, a.generation+1)
 }
 
+// fitAdversary extracts the lab features once and fits both variants on
+// them.
 func fitAdversary(lab *nettrace.Capture, window time.Duration, generation int) (*Adversary, error) {
-	centroid, err := Train(lab, window)
+	feats, err := labFeatures(lab, window)
 	if err != nil {
 		return nil, fmt.Errorf("adversary gen %d: %w", generation, err)
 	}
-	bayes, err := TrainBayes(lab, window)
+	centroid, err := fitCentroid(lab, feats, window)
+	if err != nil {
+		return nil, fmt.Errorf("adversary gen %d: %w", generation, err)
+	}
+	bayes, err := fitBayes(lab, feats)
 	if err != nil {
 		return nil, fmt.Errorf("adversary gen %d: %w", generation, err)
 	}
@@ -73,7 +79,9 @@ func (a *Adversary) Bayes() *BayesClassifier { return a.bayes }
 
 // Identify classifies every device in a victim capture with both variants
 // over a single feature extraction, and scores each against ground truth.
-// The Bayes result carries the dropped-class accounting of IdentifyBayes.
+// Victim devices whose true class the Bayes variant dropped at training are
+// flagged in its result (DroppedClasses, DroppedDevices) and excluded from
+// its Accuracy rather than scored as misclassifications.
 func (a *Adversary) Identify(victim *nettrace.Capture) (centroid, bayes *Identification, err error) {
 	feats, err := nettrace.ExtractFeatures(victim, a.window)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"privmem/internal/nettrace"
 )
@@ -16,7 +15,6 @@ import (
 // classes whose feature variance carries signal (a thermostat's metronomic
 // heartbeats have tiny variance; a camera's bursts have huge variance).
 type BayesClassifier struct {
-	window  time.Duration
 	classes []nettrace.Class
 	// means[c][d], stds[c][d], and logPrior[c] are the fitted parameters.
 	means, stds [][]float64
@@ -33,20 +31,13 @@ type BayesClassifier struct {
 // fewer windows has a degenerate variance estimate.
 const minBayesWindows = 4
 
-// Dropped returns the classes the lab capture contained but TrainBayes
-// could not fit (fewer than minBayesWindows feature windows).
+// Dropped returns the classes the lab capture contained but the fit could
+// not learn (fewer than minBayesWindows feature windows).
 func (c *BayesClassifier) Dropped() []nettrace.Class { return c.dropped }
 
-// TrainBayes fits the naive-Bayes classifier from a labeled lab capture at
-// the given feature window.
-func TrainBayes(lab *nettrace.Capture, window time.Duration) (*BayesClassifier, error) {
-	feats, err := nettrace.ExtractFeatures(lab, window)
-	if err != nil {
-		return nil, fmt.Errorf("fingerprint bayes train: %w", err)
-	}
-	if len(feats) == 0 {
-		return nil, fmt.Errorf("fingerprint bayes train: %w: empty capture", ErrBadInput)
-	}
+// fitBayes fits the naive-Bayes classifier on a labeled lab capture's
+// extracted features.
+func fitBayes(lab *nettrace.Capture, feats map[string][]nettrace.Features) (*BayesClassifier, error) {
 	// Sorted device walk: per-class mean/std are float reductions over the
 	// accumulated vectors, so a map-order walk would make the fitted
 	// parameters differ at the ULP level between runs of a lab with several
@@ -68,7 +59,7 @@ func TrainBayes(lab *nettrace.Capture, window time.Duration) (*BayesClassifier, 
 			total++
 		}
 	}
-	c := &BayesClassifier{window: window}
+	c := &BayesClassifier{}
 	for _, class := range nettrace.Classes() {
 		vecs := byClass[class]
 		if len(vecs) > 0 && len(vecs) < minBayesWindows {
@@ -136,16 +127,4 @@ func (c *BayesClassifier) ClassifyDevice(feats []nettrace.Features) (nettrace.Cl
 		}
 	}
 	return best, nil
-}
-
-// IdentifyBayes classifies every device in a victim capture with the
-// naive-Bayes classifier and scores the result. Victim devices whose true
-// class was dropped at training are flagged (DroppedClasses/DroppedDevices)
-// and excluded from Accuracy rather than scored as misclassifications.
-func IdentifyBayes(c *BayesClassifier, victim *nettrace.Capture) (*Identification, error) {
-	feats, err := nettrace.ExtractFeatures(victim, c.window)
-	if err != nil {
-		return nil, fmt.Errorf("identify bayes: %w", err)
-	}
-	return identifyFeatures(victim, feats, c.ClassifyDevice, c.dropped, "identify bayes")
 }

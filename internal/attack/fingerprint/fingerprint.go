@@ -44,6 +44,16 @@ type Classifier struct {
 // attacker records each device type in isolation (as IoT fingerprinting
 // papers do) and builds per-class centroids of the feature distribution.
 func Train(lab *nettrace.Capture, window time.Duration) (*Classifier, error) {
+	feats, err := labFeatures(lab, window)
+	if err != nil {
+		return nil, err
+	}
+	return fitCentroid(lab, feats, window)
+}
+
+// labFeatures extracts a lab capture's per-device training features at
+// window, rejecting a capture with no traffic.
+func labFeatures(lab *nettrace.Capture, window time.Duration) (map[string][]nettrace.Features, error) {
 	feats, err := nettrace.ExtractFeatures(lab, window)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint train: %w", err)
@@ -51,7 +61,12 @@ func Train(lab *nettrace.Capture, window time.Duration) (*Classifier, error) {
 	if len(feats) == 0 {
 		return nil, fmt.Errorf("fingerprint train: %w: empty capture", ErrBadInput)
 	}
+	return feats, nil
+}
 
+// fitCentroid fits the nearest-centroid classifier on a lab capture's
+// extracted features.
+func fitCentroid(lab *nettrace.Capture, feats map[string][]nettrace.Features, window time.Duration) (*Classifier, error) {
 	// Devices are visited in sorted order here and in the centroid
 	// accumulation below: float accumulation is order-sensitive at the ULP
 	// level, and a map-order walk would make mean/std — and with them every

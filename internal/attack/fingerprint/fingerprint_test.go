@@ -121,7 +121,7 @@ func TestInferOccupancyValidation(t *testing.T) {
 }
 
 func TestBayesClassifier(t *testing.T) {
-	clf, err := TrainBayes(labCapture(t, 8), time.Hour)
+	a, err := NewAdversary(labCapture(t, 8), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBayesClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := IdentifyBayes(clf, victim)
+	_, id, err := a.Identify(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,25 +144,39 @@ func TestBayesClassifier(t *testing.T) {
 
 func TestBayesValidation(t *testing.T) {
 	empty := &nettrace.Capture{}
-	if _, err := TrainBayes(empty, time.Hour); !errors.Is(err, ErrBadInput) {
+	if _, err := NewAdversary(empty, time.Hour); !errors.Is(err, ErrBadInput) {
 		t.Errorf("empty capture error = %v", err)
 	}
-	clf, err := TrainBayes(labCapture(t, 10), time.Hour)
+	// Every class below the Bayes training-window floor: the centroid
+	// variant could fit, the Bayes variant has nothing to fit.
+	start := time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC)
+	sparse := &nettrace.Capture{
+		Start: start,
+		End:   start.Add(24 * time.Hour),
+		Devices: []nettrace.Device{
+			{Name: "camera-01", Class: nettrace.ClassCamera},
+			{Name: "thermostat-01", Class: nettrace.ClassThermostat},
+		},
+	}
+	synthWindows(sparse, "camera-01", start, minBayesWindows-1, 6, 2_000_000)
+	synthWindows(sparse, "thermostat-01", start, minBayesWindows-1, 6, 300)
+	if _, err := Train(sparse, time.Hour); err != nil {
+		t.Fatalf("centroid fit on the sparse lab: %v", err)
+	}
+	if _, err := NewAdversary(sparse, time.Hour); !errors.Is(err, ErrBadInput) {
+		t.Errorf("no class above the Bayes floor: error = %v", err)
+	}
+	a, err := NewAdversary(labCapture(t, 10), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.ClassifyDevice(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := a.Bayes().ClassifyDevice(nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("no windows error = %v", err)
 	}
 }
 
 func TestBayesAndCentroidAgreeOnDistinctiveClasses(t *testing.T) {
-	lab := labCapture(t, 11)
-	nc, err := Train(lab, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := TrainBayes(lab, time.Hour)
+	a, err := NewAdversary(labCapture(t, 11), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +184,7 @@ func TestBayesAndCentroidAgreeOnDistinctiveClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idNC, err := Identify(nc, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idNB, err := IdentifyBayes(nb, victim)
+	idNC, idNB, err := a.Identify(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +235,11 @@ func TestBayesDroppedClassesSurfaced(t *testing.T) {
 	synthWindows(lab, "camera-01", start, 12, 6, 2_000_000)
 	synthWindows(lab, "thermostat-01", start, 12, 6, 300)
 	synthWindows(lab, "vacuum-01", start, 2, 1, 50_000) // below the 4-window floor
-	clf, err := TrainBayes(lab, time.Hour)
+	a, err := NewAdversary(lab, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clf.Dropped(); len(got) != 1 || got[0] != nettrace.ClassVacuum {
+	if got := a.Bayes().Dropped(); len(got) != 1 || got[0] != nettrace.ClassVacuum {
 		t.Fatalf("Dropped() = %v, want [vacuum]", got)
 	}
 
@@ -245,7 +255,7 @@ func TestBayesDroppedClassesSurfaced(t *testing.T) {
 	synthWindows(victim, "cam-A", start, 12, 6, 2_000_000)
 	synthWindows(victim, "thermo-B", start, 12, 6, 300)
 	synthWindows(victim, "vac-C", start, 12, 1, 50_000)
-	id, err := IdentifyBayes(clf, victim)
+	_, id, err := a.Identify(victim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ func TestPropOnlineNIOMEquivalent(t *testing.T) {
 	}
 }
 
-// TestPropOnlineFHMMEquivalent pins windowed and streaming factorial-HMM
-// decoding to exact batch Viterbi, bit for bit, across window sizes.
+// TestPropOnlineFHMMEquivalent pins streaming factorial-HMM decoding to
+// exact batch Viterbi, bit for bit, across window sizes.
 func TestPropOnlineFHMMEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online equivalence sweep is not short")

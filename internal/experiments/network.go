@@ -73,29 +73,6 @@ func networkWorldUncached(opts Options) (lab, victim *nettrace.Capture, tr *home
 	return lab, victim, tr, nil
 }
 
-// netClassifiers bundles the attacker models trained on the lab capture.
-// Both classifiers are read-only after Train.
-type netClassifiers struct {
-	clf   *fingerprint.Classifier
-	bayes *fingerprint.BayesClassifier
-}
-
-// netClassifierWorld trains both attacker models on the lab capture.
-func netClassifierWorld(lab *nettrace.Capture) (*netClassifiers, error) {
-	var nc netClassifiers
-	err := par.Do(func() (err error) {
-		nc.clf, err = fingerprint.Train(lab, time.Hour)
-		return err
-	}, func() (err error) {
-		nc.bayes, err = fingerprint.TrainBayes(lab, time.Hour)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &nc, nil
-}
-
 // gatewayDetectWorld runs t9's compromise-detection leg against the victim
 // world: it simulates a compromised capture from seed, scans it with
 // profiles learned from the clean victim capture, and returns each
@@ -164,19 +141,15 @@ func TableFingerprint(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
-	nc, err := netClassifierWorld(lab)
+	adv, err := fingerprint.NewAdversary(lab, time.Hour)
 	if err != nil {
 		return nil, fmt.Errorf("table fingerprint: %w", err)
 	}
-	// The three attacks only read the victim capture and the trained
-	// models.
+	// Both attacks only read the victim capture and the trained models.
 	var id, idBayes *fingerprint.Identification
 	var occ *timeseries.Series
 	err = par.Do(func() (err error) {
-		id, err = fingerprint.Identify(nc.clf, victim)
-		return err
-	}, func() (err error) {
-		idBayes, err = fingerprint.IdentifyBayes(nc.bayes, victim)
+		id, idBayes, err = adv.Identify(victim)
 		return err
 	}, func() (err error) {
 		occ, err = fingerprint.InferOccupancy(victim, fingerprint.DefaultOccupancyConfig())
@@ -232,7 +205,7 @@ func TableGateway(opts Options) (*Report, error) {
 	// the rows are assembled in a fixed order.
 	var (
 		latency  map[string]time.Duration
-		nc       *netClassifiers
+		clf      *fingerprint.Classifier
 		occPlain *timeseries.Series
 	)
 	modes := []struct {
@@ -244,7 +217,7 @@ func TableGateway(opts Options) (*Report, error) {
 		latency, err = gatewayDetectWorld(opts.seed(), victim, tr)
 		return err
 	}, func() (err error) {
-		nc, err = netClassifierWorld(lab)
+		clf, err = fingerprint.Train(lab, time.Hour)
 		return err
 	}, func() (err error) {
 		sws[0], err = gatewayShapeWorld(victim, modes[0].uniform)
@@ -273,7 +246,7 @@ func TableGateway(opts Options) (*Report, error) {
 	shapes := make([]shaped, len(modes))
 	shapeRow := func(i int) error {
 		sw := sws[i]
-		sid, err := fingerprint.Identify(nc.clf, sw.cap)
+		sid, err := fingerprint.Identify(clf, sw.cap)
 		if err != nil {
 			return err
 		}
@@ -289,7 +262,7 @@ func TableGateway(opts Options) (*Report, error) {
 		return nil
 	}
 	err = par.Do(func() (err error) {
-		plainID, err = fingerprint.Identify(nc.clf, victim)
+		plainID, err = fingerprint.Identify(clf, victim)
 		return err
 	}, func() error {
 		return shapeRow(0)

@@ -32,10 +32,6 @@ type Factorial struct {
 	// decode, and the joint transition matrix is the dominant allocation).
 	prepOnce sync.Once
 	prep     *factorialPrep
-
-	// scratch recycles per-Decode working buffers (delta/next rows and the
-	// emission row) across calls and chunks.
-	scratch sync.Pool
 }
 
 // factorialPrep holds everything about the decode lattice that depends only
@@ -165,53 +161,6 @@ func (p *factorialPrep) emitLog(x float64, j int) float64 {
 	return -0.5*d*d - p.logStd[j] - halfLog2Pi
 }
 
-// decodeScratch holds the per-call working set reused across timesteps and
-// across Decode calls (via the Factorial's pool).
-type decodeScratch struct {
-	delta []float64
-	next  []float64
-}
-
-// getScratch checks a decodeScratch with rows of at least nj out of the
-// pool, allocating fresh rows when the pooled one is too small.
-func (f *Factorial) getScratch(nj int) *decodeScratch {
-	sc, _ := f.scratch.Get().(*decodeScratch)
-	if sc == nil || len(sc.delta) < nj {
-		sc = &decodeScratch{
-			delta: make([]float64, nj),
-			next:  make([]float64, nj),
-		}
-	}
-	return sc //lint:allow poolescape borrow accessor: every caller pairs this with defer f.scratch.Put(sc)
-}
-
-// assemblePaths backtracks the flat backpointer lattice from the final
-// delta row's argmax (strictly-greater, lowest index wins) and splits the
-// joint path per chain.
-func assemblePaths(p *factorialPrep, delta []float64, prev []int32, n int) [][]int {
-	nj, nc := p.nj, p.nc
-	best, arg := math.Inf(-1), 0
-	for j := 0; j < nj; j++ {
-		if delta[j] > best {
-			best, arg = delta[j], j
-		}
-	}
-	out := make([][]int, nc)
-	for i := range out {
-		out[i] = make([]int, n)
-	}
-	j := arg
-	for t := n - 1; t >= 0; t-- {
-		for i := range out {
-			out[i][t] = int(p.states[j*nc+i])
-		}
-		if t > 0 {
-			j = int(prev[t*nj+j])
-		}
-	}
-	return out
-}
-
 // sweep runs one timestep of the Viterbi recursion: for each successor b
 // it finds the best predecessor (strictly-greater max, so the lowest index
 // wins ties, exactly like the naive kernel) and adds the emission term.
@@ -232,40 +181,21 @@ func (p *factorialPrep) sweep(x float64, delta, next []float64, prevRow []int32)
 }
 
 // Decode returns, for each chain, its most likely state sequence given the
-// aggregate observations, via exact Viterbi over the joint state space.
+// aggregate observations, via exact Viterbi over the joint state space: one
+// StreamDecoder window that covers all of obs.
 //
 // The kernel is profile-shaped but bit-identical to the textbook
 // formulation: model tables are cached across calls (buildPrep), the
 // transition matrix is flat and transposed for contiguous predecessor
-// scans, Gaussian log terms are hoisted out of the inner loop, and scratch
-// rows are pooled. Decode is safe for concurrent use; callers with long traces
-// decode independent chunks concurrently (see nilm.FHMM.Disaggregate).
+// scans, and Gaussian log terms are hoisted out of the inner loop. Decode
+// is safe for concurrent use; callers with long traces decode independent
+// chunks concurrently (see nilm.FHMM.Disaggregate).
 func (f *Factorial) Decode(obs []float64) ([][]int, error) {
-	nc := len(f.Chains)
 	if len(obs) == 0 {
-		return make([][]int, nc), nil
+		return make([][]int, len(f.Chains)), nil
 	}
-	p := f.prepTables()
-	nj := p.nj
-
-	sc := f.getScratch(nj)
-	defer f.scratch.Put(sc)
-	delta, next := sc.delta[:nj], sc.next[:nj]
-
-	// prev is one flat backpointer lattice instead of a per-timestep
-	// allocation; row t starts at t*nj. Row 0 is never read.
-	prev := make([]int32, len(obs)*nj)
-
-	for j := 0; j < nj; j++ {
-		delta[j] = p.initLog[j] + p.emitLog(obs[0], j)
-	}
-
-	for t := 1; t < len(obs); t++ {
-		p.sweep(obs[t], delta, next, prev[t*nj:(t+1)*nj])
-		delta, next = next, delta
-	}
-
-	return assemblePaths(p, delta, prev, len(obs)), nil
+	paths, _ := f.prepTables().decode(obs)
+	return paths, nil
 }
 
 // InferPower decodes the aggregate and returns each chain's inferred power

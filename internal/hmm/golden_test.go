@@ -1,11 +1,12 @@
 package hmm
 
-// Golden conformance tests for the optimized decode kernels: the reference
-// implementations below are verbatim copies of the pre-optimization naive
-// kernels (per-call table builds, no transposition, no hoisting). The optimized kernels must reproduce their output bit
-// for bit — same states, same tie-breaking, same log-probabilities — on
-// randomized models, which is what licenses the caching as a pure
-// performance change.
+// Golden conformance tests for the decode engine: the reference
+// implementations below are the pre-optimization naive kernels (per-call
+// table builds, no transposition, no hoisting), and refDecodeWindowed is
+// the bounded-lag decoder written on the same naive kernel. The engine must
+// reproduce their output bit for bit — same states, same tie-breaking, same
+// log-probabilities — on randomized models, which is what licenses the
+// caching as a pure performance change.
 
 import (
 	"math"
@@ -68,16 +69,25 @@ func refViterbi(m *Model, obs []float64) ([]int, float64) {
 	return path, best
 }
 
-// refFactorialDecode is the pre-optimization joint decoder.
-func refFactorialDecode(f *Factorial, obs []float64) [][]int {
+// refTables holds the naive joint decode tables: per joint state its summed
+// emission mean, unclamped emission std and initial log probability, and
+// the row-major joint log-transition matrix transLog[a][b] = log P(a -> b).
+type refTables struct {
+	sumMean, emitStd, initLog []float64
+	transLog                  [][]float64
+}
+
+// refFactorialTables builds the joint tables per call, as the
+// pre-optimization decoder did.
+func refFactorialTables(f *Factorial) refTables {
 	nj := f.jointCount()
 	nc := len(f.Chains)
-	if len(obs) == 0 {
-		return make([][]int, nc)
+	tb := refTables{
+		sumMean:  make([]float64, nj),
+		emitStd:  make([]float64, nj),
+		initLog:  make([]float64, nj),
+		transLog: make([][]float64, nj),
 	}
-	sumMean := make([]float64, nj)
-	emitStd := make([]float64, nj)
-	initLog := make([]float64, nj)
 	states := make([]int, nc)
 	for j := 0; j < nj; j++ {
 		f.jointState(j, states)
@@ -85,18 +95,17 @@ func refFactorialDecode(f *Factorial, obs []float64) [][]int {
 		var lp float64
 		for i, c := range f.Chains {
 			s := states[i]
-			sumMean[j] += c.Means[s]
+			tb.sumMean[j] += c.Means[s]
 			variance += c.Stds[s] * c.Stds[s]
 			lp += safeLog(c.Initial[s])
 		}
-		emitStd[j] = math.Sqrt(variance)
-		initLog[j] = lp
+		tb.emitStd[j] = math.Sqrt(variance)
+		tb.initLog[j] = lp
 	}
-	transLog := make([][]float64, nj)
 	from := make([]int, nc)
 	to := make([]int, nc)
 	for a := 0; a < nj; a++ {
-		transLog[a] = make([]float64, nj)
+		tb.transLog[a] = make([]float64, nj)
 		f.jointState(a, from)
 		for b := 0; b < nj; b++ {
 			f.jointState(b, to)
@@ -104,9 +113,22 @@ func refFactorialDecode(f *Factorial, obs []float64) [][]int {
 			for i, c := range f.Chains {
 				lp += safeLog(c.Trans[from[i]][to[i]])
 			}
-			transLog[a][b] = lp
+			tb.transLog[a][b] = lp
 		}
 	}
+	return tb
+}
+
+// refFactorialDecode is the pre-optimization joint decoder.
+func refFactorialDecode(f *Factorial, obs []float64) [][]int {
+	nj := f.jointCount()
+	nc := len(f.Chains)
+	if len(obs) == 0 {
+		return make([][]int, nc)
+	}
+	tb := refFactorialTables(f)
+	sumMean, emitStd, initLog, transLog := tb.sumMean, tb.emitStd, tb.initLog, tb.transLog
+	states := make([]int, nc)
 	delta := make([]float64, nj)
 	next := make([]float64, nj)
 	prev := make([][]int32, len(obs))
@@ -150,6 +172,81 @@ func refFactorialDecode(f *Factorial, obs []float64) [][]int {
 	return out
 }
 
+// refDecodeWindowed is the naive bounded-lag decoder the StreamDecoder must
+// reproduce: exact Viterbi within each window of `window` observations (the
+// last window may be short), the delta row carried across every boundary,
+// and at each boundary a commit to the window's maximum-likelihood final
+// state, backtracked through that window's lattice alone.
+func refDecodeWindowed(f *Factorial, obs []float64, window int) [][]int {
+	var ends []int
+	for hi := window; hi < len(obs); hi += window {
+		ends = append(ends, hi)
+	}
+	return refDecodeSplit(f, obs, append(ends, len(obs)))
+}
+
+// refDecodeSplit is refDecodeWindowed over windows ending at the ascending
+// indices ends, the last of which is len(obs).
+func refDecodeSplit(f *Factorial, obs []float64, ends []int) [][]int {
+	nj := f.jointCount()
+	nc := len(f.Chains)
+	tb := refFactorialTables(f)
+	states := make([]int, nc)
+	out := make([][]int, nc)
+	for i := range out {
+		out[i] = make([]int, len(obs))
+	}
+	if len(obs) == 0 {
+		return out
+	}
+	var delta []float64
+	lo := 0
+	for _, hi := range ends {
+		// prev[t-lo] is step t's backpointer row; the window's first row
+		// points across the boundary and is never followed.
+		prev := make([][]int32, hi-lo)
+		for t := lo; t < hi; t++ {
+			next := make([]float64, nj)
+			if t == 0 {
+				for j := 0; j < nj; j++ {
+					next[j] = tb.initLog[j] + refLogGauss(obs[0], tb.sumMean[j], tb.emitStd[j])
+				}
+				delta = next
+				continue
+			}
+			prev[t-lo] = make([]int32, nj)
+			for b := 0; b < nj; b++ {
+				best, arg := math.Inf(-1), 0
+				for a := 0; a < nj; a++ {
+					if v := delta[a] + tb.transLog[a][b]; v > best {
+						best, arg = v, a
+					}
+				}
+				next[b] = best + refLogGauss(obs[t], tb.sumMean[b], tb.emitStd[b])
+				prev[t-lo][b] = int32(arg)
+			}
+			delta = next
+		}
+		best, j := math.Inf(-1), 0
+		for s := 0; s < nj; s++ {
+			if delta[s] > best {
+				best, j = delta[s], s
+			}
+		}
+		for t := hi - 1; t >= lo; t-- {
+			f.jointState(j, states)
+			for i := range out {
+				out[i][t] = states[i]
+			}
+			if t > lo {
+				j = int(prev[t-lo][j])
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
 // randomModel draws a valid Gaussian HMM with k states.
 func randomModel(rng *rand.Rand, k int) *Model {
 	m := &Model{
@@ -184,10 +281,16 @@ func randomModel(rng *rand.Rand, k int) *Model {
 
 func TestViterbiMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
+	// Trials 25-28 decode 1 or 2 observations, where the decoder's initial
+	// step meets the backtrack.
+	for trial := 0; trial < 29; trial++ {
 		k := 1 + rng.Intn(5)
 		m := randomModel(rng, k)
-		obs := make([]float64, 5+rng.Intn(200))
+		n := 5 + rng.Intn(200)
+		if trial >= 25 {
+			n = 1 + trial%2
+		}
+		obs := make([]float64, n)
 		for i := range obs {
 			obs[i] = rng.Float64() * 2500
 		}
@@ -198,6 +301,9 @@ func TestViterbiMatchesReference(t *testing.T) {
 		}
 		if gotLP != wantLP {
 			t.Fatalf("trial %d: log prob %v != reference %v", trial, gotLP, wantLP)
+		}
+		if len(gotPath) != len(wantPath) {
+			t.Fatalf("trial %d: path length %d, reference %d", trial, len(gotPath), len(wantPath))
 		}
 		for i := range wantPath {
 			if gotPath[i] != wantPath[i] {
@@ -218,6 +324,9 @@ func checkFactorialAgainstReference(t *testing.T, trial int, f *Factorial, obs [
 		t.Fatalf("trial %d: %d chains, reference %d", trial, len(got), len(want))
 	}
 	for c := range want {
+		if len(got[c]) != len(want[c]) {
+			t.Fatalf("trial %d: chain %d has %d states, reference %d", trial, c, len(got[c]), len(want[c]))
+		}
 		for i := range want[c] {
 			if got[c][i] != want[c][i] {
 				t.Fatalf("trial %d: chain %d state[%d] = %d, reference %d",
@@ -229,7 +338,9 @@ func checkFactorialAgainstReference(t *testing.T, trial int, f *Factorial, obs [
 
 func TestFactorialDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 12; trial++ {
+	// Trials 12-15 decode 1 or 2 observations, where the decoder's initial
+	// step meets the backtrack.
+	for trial := 0; trial < 16; trial++ {
 		nc := 1 + rng.Intn(4)
 		chains := make([]*Model, nc)
 		for i := range chains {
@@ -239,12 +350,16 @@ func TestFactorialDecodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		obs := make([]float64, 10+rng.Intn(120))
+		n := 10 + rng.Intn(120)
+		if trial >= 12 {
+			n = 1 + trial%2
+		}
+		obs := make([]float64, n)
 		for i := range obs {
 			obs[i] = rng.Float64() * 4000
 		}
 		checkFactorialAgainstReference(t, trial, f, obs)
-		// A second decode exercises the cached prep and pooled scratch.
+		// A second decode runs on the cached prep tables.
 		checkFactorialAgainstReference(t, trial, f, obs)
 	}
 }
@@ -306,8 +421,8 @@ func TestFactorialDecodeEmptyObs(t *testing.T) {
 }
 
 // TestFactorialDecodeConcurrent races concurrent Decode calls on one shared
-// Factorial: the cached prep must build exactly once and the pooled scratch
-// must never be shared between in-flight calls.
+// Factorial: the cached prep must build exactly once, and each in-flight
+// call must decode on its own rows.
 func TestFactorialDecodeConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	chains := []*Model{randomModel(rng, 3), randomModel(rng, 3)}

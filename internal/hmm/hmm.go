@@ -4,6 +4,12 @@
 // forward-algorithm likelihoods, Baum-Welch (EM) training, and joint
 // decoding of several independent chains whose emissions sum (a factorial
 // HMM over a product state space).
+//
+// Every Viterbi decode runs through one engine: a factorialPrep (the
+// model's flattened tables), its sweep, and the StreamDecoder's
+// per-observation step and backtrack. Factorial.Decode is one decoder
+// window covering all observations, Model.Viterbi is the same on a
+// one-chain prep, and the fleet's incremental decode emits every window.
 package hmm
 
 import (
@@ -100,7 +106,8 @@ func safeLog(x float64) float64 {
 }
 
 // Viterbi returns the most likely hidden state sequence for obs and its log
-// probability.
+// probability. It is Factorial.Decode's engine on a one-chain prep (see
+// viterbiPrep), so the two share one recursion and one backtrack.
 func (m *Model) Viterbi(obs []float64) ([]int, float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("viterbi: %w", err)
@@ -108,50 +115,38 @@ func (m *Model) Viterbi(obs []float64) ([]int, float64, error) {
 	if len(obs) == 0 {
 		return nil, 0, nil
 	}
+	paths, logp := m.viterbiPrep().decode(obs)
+	return paths[0], logp, nil
+}
+
+// viterbiPrep builds the decode tables of the model alone: each state's
+// emission is its own minStd-clamped Gaussian (no observation noise is
+// added, unlike a factorial's joint state), and the initial and transition
+// log probabilities are safeLog of the model's, so every lattice entry is
+// the logGauss and safeLog arithmetic of the textbook recursion.
+func (m *Model) viterbiPrep() *factorialPrep {
 	k := m.K()
-	delta := make([]float64, k)
-	// Hoist the transition log-probabilities out of the T*K^2 inner loop
-	// (the naive recursion recomputes safeLog per step). Stored transposed —
-	// transT[s*k+r] = log P(r -> s) — so the predecessor scan is contiguous.
-	transT := make([]float64, k*k)
-	for r := 0; r < k; r++ {
-		for s := 0; s < k; s++ {
-			transT[s*k+r] = safeLog(m.Trans[r][s])
-		}
+	p := &factorialPrep{
+		nj:      k,
+		nc:      1,
+		sumMean: m.Means,
+		emitStd: make([]float64, k),
+		logStd:  make([]float64, k),
+		initLog: make([]float64, k),
+		transT:  make([]float64, k*k),
+		states:  make([]int32, k),
 	}
-	prev := make([]int16, len(obs)*k)
 	for s := 0; s < k; s++ {
-		delta[s] = safeLog(m.Initial[s]) + logGauss(obs[0], m.Means[s], m.Stds[s])
-	}
-	next := make([]float64, k)
-	for t := 1; t < len(obs); t++ {
-		prevRow := prev[t*k : (t+1)*k]
-		for s := 0; s < k; s++ {
-			row := transT[s*k : s*k+k]
-			best, arg := math.Inf(-1), 0
-			for r, tl := range row {
-				if v := delta[r] + tl; v > best {
-					best, arg = v, r
-				}
-			}
-			next[s] = best + logGauss(obs[t], m.Means[s], m.Stds[s])
-			prevRow[s] = int16(arg)
-		}
-		delta, next = next, delta
-	}
-	best, arg := math.Inf(-1), 0
-	for s := 0; s < k; s++ {
-		if delta[s] > best {
-			best, arg = delta[s], s
+		std := max(m.Stds[s], minStd)
+		p.emitStd[s] = std
+		p.logStd[s] = math.Log(std)
+		p.initLog[s] = safeLog(m.Initial[s])
+		p.states[s] = int32(s)
+		for r := 0; r < k; r++ {
+			p.transT[s*k+r] = safeLog(m.Trans[r][s])
 		}
 	}
-	path := make([]int, len(obs))
-	path[len(obs)-1] = arg
-	for t := len(obs) - 1; t > 0; t-- {
-		arg = int(prev[t*k+arg])
-		path[t-1] = arg
-	}
-	return path, best, nil
+	return p
 }
 
 // LogLikelihood returns the log probability of obs under the model using

@@ -3,6 +3,7 @@ package hmm
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrBadStream indicates invalid streaming-decode parameters.
@@ -17,91 +18,16 @@ func (f *Factorial) prepTables() *factorialPrep {
 	return f.prep
 }
 
-// DecodeWindowed is the batch counterpart of the streaming decoder: exact
-// Viterbi run window-by-window with the delta row carried across window
-// boundaries. Within each window of `window` observations the full lattice
-// is kept and backtracked; at each boundary the decoder commits to the
-// maximum-likelihood joint state of the window's last step and discards the
-// lattice, so later observations can no longer revise earlier windows.
-//
-// This is the standard bounded-lag approximation of full Viterbi. Two laws
-// pin it down, both enforced bit-exactly by the golden tests:
-//
-//   - DecodeWindowed(obs, len(obs)) equals Decode(obs) — a single window is
-//     full Viterbi, same arithmetic, same strictly-greater argmax tie-break;
-//   - a StreamDecoder fed the same observations one at a time (in any chunk
-//     sizes) emits exactly DecodeWindowed's states at every window boundary.
-func (f *Factorial) DecodeWindowed(obs []float64, window int) ([][]int, error) {
-	nc := len(f.Chains)
-	if window < 1 {
-		return nil, fmt.Errorf("%w: window %d", ErrBadStream, window)
-	}
-	out := make([][]int, nc)
-	for i := range out {
-		out[i] = make([]int, len(obs))
-	}
-	if len(obs) == 0 {
-		return out, nil
-	}
-	p := f.prepTables()
-	nj := p.nj
-	delta := make([]float64, nj)
-	next := make([]float64, nj)
-	prev := make([]int32, window*nj)
-
-	for lo := 0; lo < len(obs); lo += window {
-		hi := lo + window
-		if hi > len(obs) {
-			hi = len(obs)
-		}
-		for t := lo; t < hi; t++ {
-			r := t - lo
-			if t == 0 {
-				for j := 0; j < nj; j++ {
-					delta[j] = p.initLog[j] + p.emitLog(obs[0], j)
-				}
-				continue
-			}
-			// Row r's backpointers locate step r's best predecessor inside
-			// this window; row 0 of a non-first window points across the
-			// boundary and is never read back.
-			p.sweep(obs[t], delta, next, prev[r*nj:(r+1)*nj])
-			delta, next = next, delta
-		}
-		emitWindow(p, delta, prev, out, lo, hi-lo)
-	}
-	return out, nil
-}
-
-// emitWindow backtracks the current window's lattice — argmax over the
-// carried delta row at the window's last step, then prev rows n-1..1 — and
-// writes the per-chain states for steps [lo, lo+n) into out.
-func emitWindow(p *factorialPrep, delta []float64, prev []int32, out [][]int, lo, n int) {
-	nj, nc := p.nj, p.nc
-	best, arg := delta[0], 0
-	for j := 1; j < nj; j++ {
-		if delta[j] > best {
-			best, arg = delta[j], j
-		}
-	}
-	j := arg
-	for r := n - 1; r >= 0; r-- {
-		for i := 0; i < nc; i++ {
-			out[i][lo+r] = int(p.states[j*nc+i])
-		}
-		if r > 0 {
-			j = int(prev[r*nj+j])
-		}
-	}
-}
-
-// StreamDecoder decodes a factorial HMM incrementally: observations are
-// pushed one at a time and the decoder emits the per-chain Viterbi states of
-// each completed window, carrying the delta row across boundaries exactly
-// like DecodeWindowed. Its working set — two delta rows plus one window of
-// backpointers — is fixed at construction, independent of how many
-// observations ever flow through it, which is the bounded-memory contract
-// the fleet ingest workers rely on.
+// StreamDecoder is the package's one Viterbi driver. Observations are
+// pushed one at a time and the decoder emits the per-chain states of each
+// completed window of `window` observations: exact Viterbi within the
+// window, the delta row carried across its boundary, and a commit to the
+// window's maximum-likelihood final state, so later observations cannot
+// revise earlier windows (the standard bounded-lag approximation). One
+// window over every observation is exact Viterbi: Factorial.Decode and
+// Model.Viterbi. Its working set — two delta rows plus one window of
+// backpointers — is fixed at construction, the bounded-memory contract the
+// fleet ingest workers rely on.
 //
 // A StreamDecoder is not safe for concurrent use; each stream of
 // observations owns its decoder. Decoders attached to the same Factorial
@@ -118,6 +44,27 @@ type StreamDecoder struct {
 	// the emitted paths past the next Push.
 }
 
+// newDecoder returns a decoder over p emitting every `window` observations.
+func newDecoder(p *factorialPrep, window int) *StreamDecoder {
+	return &StreamDecoder{
+		p:      p,
+		window: window,
+		delta:  make([]float64, p.nj),
+		next:   make([]float64, p.nj),
+		prev:   make([]int32, window*p.nj),
+	}
+}
+
+// decode runs one decoder window over all of obs (which must be non-empty)
+// and returns the per-chain Viterbi paths and the final argmax score.
+func (p *factorialPrep) decode(obs []float64) ([][]int, float64) {
+	d := newDecoder(p, len(obs))
+	for _, x := range obs {
+		d.step(x)
+	}
+	return d.emit()
+}
+
 // NewStreamDecoder returns an incremental decoder emitting every `window`
 // observations. The model's prep tables are built now (not at first Push)
 // so construction, not the hot path, pays the one-time cost.
@@ -125,14 +72,7 @@ func (f *Factorial) NewStreamDecoder(window int) (*StreamDecoder, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("%w: window %d", ErrBadStream, window)
 	}
-	p := f.prepTables()
-	return &StreamDecoder{
-		p:      p,
-		window: window,
-		delta:  make([]float64, p.nj),
-		next:   make([]float64, p.nj),
-		prev:   make([]int32, window*p.nj),
-	}, nil
+	return newDecoder(f.prepTables(), window), nil
 }
 
 // Beam is NewStreamDecoderBeam's ignored option argument.
@@ -156,41 +96,69 @@ func (d *StreamDecoder) Window() int { return d.window }
 // per-chain state sequences for that window's observations and true;
 // otherwise it returns nil and false.
 func (d *StreamDecoder) Push(x float64) ([][]int, bool) {
+	d.step(x)
+	if d.filled < d.window {
+		return nil, false
+	}
+	paths, _ := d.emit()
+	return paths, true
+}
+
+// Flush emits the open partial window, if any. The decoder remains usable:
+// subsequent observations start a new window seeded from the carried delta,
+// exactly as if the window had ended at the flush.
+func (d *StreamDecoder) Flush() ([][]int, bool) {
+	if d.filled == 0 {
+		return nil, false
+	}
+	paths, _ := d.emit()
+	return paths, true
+}
+
+// step advances the recursion by one observation: the initial row on the
+// stream's first observation, one sweep after it. Row r of the window's
+// backpointers locates step r's best predecessor inside the window; row 0
+// of a non-first window points across the boundary and is never read back.
+func (d *StreamDecoder) step(x float64) {
 	p := d.p
 	nj := p.nj
-	r := d.filled
 	if !d.seen {
 		for j := 0; j < nj; j++ {
 			d.delta[j] = p.initLog[j] + p.emitLog(x, j)
 		}
 		d.seen = true
 	} else {
+		r := d.filled
 		p.sweep(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj])
 		d.delta, d.next = d.next, d.delta
 	}
 	d.filled++
-	if d.filled < d.window {
-		return nil, false
-	}
-	return d.emit(), true
 }
 
-// Flush emits the open partial window, if any. The decoder remains usable:
-// subsequent observations start a new window seeded from the carried delta,
-// matching DecodeWindowed applied to the flushed-at boundary.
-func (d *StreamDecoder) Flush() ([][]int, bool) {
-	if d.filled == 0 {
-		return nil, false
+// emit backtracks the open window — argmax over the carried delta row
+// (strictly greater, lowest index wins), then backpointer rows filled-1..1 —
+// returns its per-chain states and the argmax score, and closes the window.
+func (d *StreamDecoder) emit() ([][]int, float64) {
+	p, n := d.p, d.filled
+	nj, nc := p.nj, p.nc
+	best, j := math.Inf(-1), 0
+	for s, v := range d.delta {
+		if v > best {
+			best, j = v, s
+		}
 	}
-	return d.emit(), true
-}
-
-func (d *StreamDecoder) emit() [][]int {
-	out := make([][]int, d.p.nc)
+	out := make([][]int, nc)
 	for i := range out {
-		out[i] = make([]int, d.filled)
+		out[i] = make([]int, n)
 	}
-	emitWindow(d.p, d.delta, d.prev, out, 0, d.filled)
+	for r := n - 1; r >= 0; r-- {
+		for i := range out {
+			out[i][r] = int(p.states[j*nc+i])
+		}
+		if r > 0 {
+			j = int(d.prev[r*nj+j])
+		}
+	}
 	d.filled = 0
-	return out
+	return out, best
 }

@@ -1,7 +1,11 @@
 package hmm
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,93 +82,46 @@ func pathsEqual(a, b [][]int) bool {
 	return true
 }
 
-// TestDecodeWindowedFullWindowEqualsDecode pins the degenerate-window law:
-// one window covering the whole sequence is full Viterbi, bit for bit.
-func TestDecodeWindowedFullWindowEqualsDecode(t *testing.T) {
-	for _, n := range []int{1, 7, 64, 301} {
-		f, obs := streamTestModel(t, 11, n)
-		want, err := f.Decode(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.DecodeWindowed(obs, len(obs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pathsEqual(got, want) {
-			t.Fatalf("n=%d: DecodeWindowed(len) != Decode", n)
+// onlineFHMMModel is a two-chain factorial (4 joint states) with a
+// deterministic analytic observation track whose phase follows seed:
+// regime switches without a random generator.
+func onlineFHMMModel(t testing.TB, seed int64) (*Factorial, []float64) {
+	t.Helper()
+	f, err := NewFactorial([]*Model{
+		{
+			Initial: []float64{0.6, 0.4},
+			Trans:   [][]float64{{0.9, 0.1}, {0.2, 0.8}},
+			Means:   []float64{0, 150},
+			Stds:    []float64{25, 40},
+		},
+		{
+			Initial: []float64{0.5, 0.5},
+			Trans:   [][]float64{{0.85, 0.15}, {0.3, 0.7}},
+			Means:   []float64{40, 600},
+			Stds:    []float64{30, 70},
+		},
+	}, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := make([]float64, 257)
+	phase := float64(seed%97) / 97
+	for i := range obs {
+		x := float64(i)
+		obs[i] = 320 + 300*math.Sin(2*math.Pi*(x/48+phase)) + 120*math.Cos(2*math.Pi*(x/7+2*phase))
+		if obs[i] < 0 {
+			obs[i] = 0
 		}
 	}
+	return f, obs
 }
 
-// TestStreamDecoderMatchesDecodeWindowed pins the online==batch law: a
-// stream decoder fed one observation at a time emits exactly the windowed
-// batch decode at every boundary, including a trailing partial window.
-func TestStreamDecoderMatchesDecodeWindowed(t *testing.T) {
-	for _, tc := range []struct{ n, window int }{
-		{1, 1}, {5, 1}, {96, 24}, {100, 24}, {17, 5}, {301, 50},
-	} {
-		f, obs := streamTestModel(t, 23, tc.n)
-		want, err := f.DecodeWindowed(obs, tc.window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.NewStreamDecoder(tc.window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([][]int, len(f.Chains))
-		emit := func(w [][]int) {
-			for i := range w {
-				got[i] = append(got[i], w[i]...)
-			}
-		}
-		for _, x := range obs {
-			if w, ok := d.Push(x); ok {
-				emit(w)
-			}
-		}
-		if w, ok := d.Flush(); ok {
-			emit(w)
-		}
-		if !pathsEqual(got, want) {
-			t.Fatalf("n=%d window=%d: stream != DecodeWindowed", tc.n, tc.window)
-		}
-	}
-}
-
-// TestStreamDecoderSurvivesFlushMidWindow checks that flushing a partial
-// window and continuing matches batch decode split at the flush boundary.
-func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
-	f, obs := streamTestModel(t, 31, 40)
-	// Batch reference: windows [0,13), [13,33), [33,40) — flush at 13, then
-	// window 20, then final flush.
-	p := f.prepTables()
-	nj := p.nj
-	delta := make([]float64, nj)
-	next := make([]float64, nj)
-	prev := make([]int32, 20*nj)
-	want := make([][]int, len(f.Chains))
-	for i := range want {
-		want[i] = make([]int, len(obs))
-	}
-	bounds := [][2]int{{0, 13}, {13, 33}, {33, 40}}
-	for _, b := range bounds {
-		for tt := b[0]; tt < b[1]; tt++ {
-			r := tt - b[0]
-			if tt == 0 {
-				for j := 0; j < nj; j++ {
-					delta[j] = p.initLog[j] + p.emitLog(obs[0], j)
-				}
-				continue
-			}
-			p.sweep(obs[tt], delta, next, prev[r*nj:(r+1)*nj])
-			delta, next = next, delta
-		}
-		emitWindow(p, delta, prev, want, b[0], b[1]-b[0])
-	}
-
-	d, err := f.NewStreamDecoder(20)
+// streamDecode feeds obs to a fresh StreamDecoder one observation at a time,
+// flushing after each index in flushAt and at the end, and concatenates
+// every emitted window.
+func streamDecode(t *testing.T, f *Factorial, obs []float64, window int, flushAt ...int) [][]int {
+	t.Helper()
+	d, err := f.NewStreamDecoder(window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +135,7 @@ func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
 		if w, ok := d.Push(x); ok {
 			emit(w)
 		}
-		if i == 12 {
+		if slices.Contains(flushAt, i) {
 			if w, ok := d.Flush(); ok {
 				emit(w)
 			}
@@ -187,7 +144,63 @@ func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
 	if w, ok := d.Flush(); ok {
 		emit(w)
 	}
-	if !pathsEqual(got, want) {
+	return got
+}
+
+// TestWindowedReferenceFullWindowEqualsDecode pins the degenerate-window
+// law on the oracle: one window covering the whole sequence is full
+// Viterbi, so refDecodeWindowed at len(obs) must equal both Decode and the
+// verbatim pre-optimization decoder, bit for bit.
+func TestWindowedReferenceFullWindowEqualsDecode(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 301} {
+		f, obs := streamTestModel(t, 11, n)
+		want, err := f.Decode(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := refDecodeWindowed(f, obs, len(obs)); !pathsEqual(got, want) {
+			t.Fatalf("n=%d: refDecodeWindowed(len) != Decode", n)
+		}
+		if got := refFactorialDecode(f, obs); !pathsEqual(got, want) {
+			t.Fatalf("n=%d: refFactorialDecode != Decode", n)
+		}
+	}
+}
+
+// TestStreamDecoderMatchesDecodeWindowed pins the online==batch law: a
+// stream decoder fed one observation at a time emits exactly the naive
+// windowed decode at every boundary, including a trailing partial window,
+// on the three-chain model and on the two-chain analytic track at windows
+// 1, 16, 64 and the whole trace.
+func TestStreamDecoderMatchesDecodeWindowed(t *testing.T) {
+	check := func(name string, f *Factorial, obs []float64, window int) {
+		t.Helper()
+		want := refDecodeWindowed(f, obs, window)
+		if got := streamDecode(t, f, obs, window); !pathsEqual(got, want) {
+			t.Fatalf("%s n=%d window=%d: stream != refDecodeWindowed", name, len(obs), window)
+		}
+	}
+	for _, tc := range []struct{ n, window int }{
+		{1, 1}, {5, 1}, {96, 24}, {100, 24}, {17, 5}, {301, 50},
+	} {
+		f, obs := streamTestModel(t, 23, tc.n)
+		check("three-chain", f, obs, tc.window)
+	}
+	for _, seed := range []int64{0, 13, 42} {
+		f, obs := onlineFHMMModel(t, seed)
+		for _, window := range []int{1, 16, 64, len(obs)} {
+			check(fmt.Sprintf("two-chain seed %d", seed), f, obs, window)
+		}
+	}
+}
+
+// TestStreamDecoderSurvivesFlushMidWindow checks that flushing a partial
+// window and continuing matches the naive decode split at the flush
+// boundary: windows [0,13), [13,33), [33,40).
+func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
+	f, obs := streamTestModel(t, 31, 40)
+	want := refDecodeSplit(f, obs, []int{13, 33, 40})
+	if got := streamDecode(t, f, obs, 20, 12); !pathsEqual(got, want) {
 		t.Fatal("stream with mid-window flush != batch split at the flush boundary")
 	}
 }
@@ -195,27 +208,28 @@ func TestStreamDecoderSurvivesFlushMidWindow(t *testing.T) {
 // TestStreamDecoderRejectsBadWindow checks constructor validation.
 func TestStreamDecoderRejectsBadWindow(t *testing.T) {
 	f, _ := streamTestModel(t, 1, 1)
-	if _, err := f.NewStreamDecoder(0); err == nil {
-		t.Fatal("window 0 accepted")
-	}
-	if _, err := f.DecodeWindowed([]float64{1}, -1); err == nil {
-		t.Fatal("negative window accepted")
+	for _, window := range []int{0, -1} {
+		if _, err := f.NewStreamDecoder(window); !errors.Is(err, ErrBadStream) {
+			t.Fatalf("window %d: err = %v, want ErrBadStream", window, err)
+		}
 	}
 }
 
-// TestDecodeWindowedEmpty checks the empty-observation edge.
-func TestDecodeWindowedEmpty(t *testing.T) {
-	f, _ := streamTestModel(t, 1, 1)
-	out, err := f.DecodeWindowed(nil, 4)
+// TestStreamDecoderFlushEmpty checks the empty-window edge: Flush emits
+// nothing before the first observation and right after a window closes.
+func TestStreamDecoderFlushEmpty(t *testing.T) {
+	f, obs := streamTestModel(t, 1, 4)
+	d, err := f.NewStreamDecoder(len(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(f.Chains) {
-		t.Fatalf("got %d chains", len(out))
+	if w, ok := d.Flush(); ok || w != nil {
+		t.Fatalf("Flush before any Push = %v, %v", w, ok)
 	}
-	for _, p := range out {
-		if len(p) != 0 {
-			t.Fatal("non-empty path for empty observations")
-		}
+	for _, x := range obs {
+		d.Push(x)
+	}
+	if w, ok := d.Flush(); ok || w != nil {
+		t.Fatalf("Flush after a closed window = %v, %v", w, ok)
 	}
 }

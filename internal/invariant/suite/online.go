@@ -20,7 +20,9 @@ import (
 // world must emit, at every window boundary, exactly what the batch
 // computation over the same prefix semantics produces. Equality here is
 // float64 identity, not tolerance — the streaming forms are required to
-// perform the same arithmetic in the same order.
+// perform the same arithmetic in the same order. The FHMM decoder's
+// window-by-window check against a naive bounded-lag oracle lives beside
+// that oracle in internal/hmm (TestStreamDecoderMatchesDecodeWindowed).
 
 // OnlineNIOMEquivalent records a metered home and replays it through the
 // streaming NIOM detector, requiring bit-identity with the batch sliding
@@ -99,9 +101,12 @@ func batchBoundaryLabels(power *timeseries.Series, cfg niom.Config) ([]float64, 
 }
 
 // OnlineFHMMEquivalent checks the incremental factorial-HMM decoder against
-// exact batch Viterbi: DecodeWindowed over the full trace must equal Decode,
-// and the streaming decoder must reproduce DecodeWindowed at every window
-// boundary, for several window sizes.
+// exact batch Viterbi through the exported API: one stream window over the
+// full trace must equal Decode; at several window sizes the first emitted
+// window (which carries no state in) must equal Decode of that prefix, and
+// every window's final state the final state of Decode over the prefix
+// ending there; and pushing through full windows must equal flushing at the
+// same boundaries.
 func OnlineFHMMEquivalent(seed int64) error {
 	f, err := hmm.NewFactorial([]*hmm.Model{
 		{
@@ -137,45 +142,88 @@ func OnlineFHMMEquivalent(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("invariant: online fhmm: %w", err)
 	}
-	full, err := f.DecodeWindowed(obs, len(obs))
+	full, err := streamPaths(f, obs, len(obs), 0)
 	if err != nil {
 		return fmt.Errorf("invariant: online fhmm: %w", err)
 	}
 	if err := pathsIdentical(exact, full); err != nil {
-		return fmt.Errorf("invariant: online fhmm: DecodeWindowed(full) != Decode: %w", err)
+		return fmt.Errorf("invariant: online fhmm: stream(full) != Decode: %w", err)
 	}
 
 	for _, window := range []int{1, 16, 64} {
-		want, err := f.DecodeWindowed(obs, window)
+		got, err := streamPaths(f, obs, window, 0)
 		if err != nil {
 			return fmt.Errorf("invariant: online fhmm: %w", err)
 		}
-		dec, err := f.NewStreamDecoder(window)
+		prefix, err := f.Decode(obs[:window])
 		if err != nil {
 			return fmt.Errorf("invariant: online fhmm: %w", err)
 		}
-		got := make([][]int, len(want))
+		head := make([][]int, len(got))
 		for c := range got {
-			got[c] = make([]int, 0, len(obs))
+			head[c] = got[c][:min(window, len(got[c]))]
 		}
-		emit := func(states [][]int) {
-			for c := range states {
-				got[c] = append(got[c], states[c]...)
+		if err := pathsIdentical(prefix, head); err != nil {
+			return fmt.Errorf("invariant: online fhmm window %d: first window != Decode(prefix): %w", window, err)
+		}
+		// The delta row carried across boundaries is the exact forward
+		// score, so each window's committed final state is the final state
+		// of exact Viterbi over the prefix ending there.
+		for hi := window; ; hi += window {
+			hi = min(hi, len(obs))
+			batch, err := f.Decode(obs[:hi])
+			if err != nil {
+				return fmt.Errorf("invariant: online fhmm: %w", err)
+			}
+			for c := range got {
+				if got[c][hi-1] != batch[c][hi-1] {
+					return fmt.Errorf("invariant: online fhmm window %d: chain %d state at boundary %d: stream %d != Decode(prefix) %d",
+						window, c, hi, got[c][hi-1], batch[c][hi-1])
+				}
+			}
+			if hi == len(obs) {
+				break
 			}
 		}
-		for _, x := range obs {
-			if states, ok := dec.Push(x); ok {
-				emit(states)
-			}
+		flushed, err := streamPaths(f, obs, len(obs), window)
+		if err != nil {
+			return fmt.Errorf("invariant: online fhmm: %w", err)
 		}
-		if states, ok := dec.Flush(); ok {
-			emit(states)
-		}
-		if err := pathsIdentical(want, got); err != nil {
-			return fmt.Errorf("invariant: online fhmm window %d: stream != batch: %w", window, err)
+		if err := pathsIdentical(got, flushed); err != nil {
+			return fmt.Errorf("invariant: online fhmm window %d: push != flush at boundaries: %w", window, err)
 		}
 	}
 	return nil
+}
+
+// streamPaths replays obs through a stream decoder of the given window,
+// flushing after every flushEvery observations when flushEvery > 0 and once
+// at the end, and returns the concatenated per-chain paths.
+func streamPaths(f *hmm.Factorial, obs []float64, window, flushEvery int) ([][]int, error) {
+	dec, err := f.NewStreamDecoder(window)
+	if err != nil {
+		return nil, err
+	}
+	got := make([][]int, len(f.Chains))
+	emit := func(states [][]int) {
+		for c := range states {
+			got[c] = append(got[c], states[c]...)
+		}
+	}
+	for i, x := range obs {
+		if states, ok := dec.Push(x); ok {
+			emit(states)
+		}
+		if flushEvery > 0 && (i+1)%flushEvery == 0 {
+			if states, ok := dec.Flush(); ok {
+				emit(states)
+			}
+		}
+	}
+	if states, ok := dec.Flush(); ok {
+		emit(states)
+	}
+	return got, nil
 }
 
 // pathsIdentical compares two per-chain state paths exactly.
