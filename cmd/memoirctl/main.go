@@ -239,11 +239,11 @@ func cmdFleet(seed int64, homes, workers, days int, mix string, quick bool) erro
 		spec.Variants = 2
 	}
 	if mix != "" {
-		parsed, err := fleet.ParseSpec("mix=" + mix)
+		parsed, err := fleet.ParseMix(mix)
 		if err != nil {
 			return err
 		}
-		spec.Mix = parsed.Mix
+		spec.Mix = parsed
 	}
 	if err := spec.Validate(); err != nil {
 		return err

@@ -11,7 +11,6 @@
 //	privmemvet file.go                    # ad-hoc file: every analyzer, no scoping
 //	privmemvet -list                      # print the analyzer inventory and scopes
 //	privmemvet -json ./...                # structured findings (incl. suppressed)
-//	privmemvet -baseline LINT_BASELINE.json ./...  # fail only on NEW findings
 //	privmemvet -stats ./...               # per-analyzer counts + wall-time (benchjson)
 //
 // Analyzer scoping: detrand runs only on deterministic packages (the
@@ -125,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzer inventory and scopes")
 	asJSON := fs.Bool("json", false, "emit findings as JSON (including suppressed ones, with their allow reasons)")
-	baseline := fs.String("baseline", "", "compare against a -json baseline `file`; fail only on findings not in it")
 	stats := fs.Bool("stats", false, "print per-analyzer finding counts and wall-time in go-bench format")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -157,8 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return emitStats(stdout, res)
 	case *asJSON:
 		return emitJSON(stdout, res)
-	case *baseline != "":
-		return diffBaseline(stdout, stderr, res, *baseline)
 	}
 	n := 0
 	for _, d := range res.diags {
@@ -247,9 +243,8 @@ func vet(dir string, patterns []string, checks []scoped) (*result, error) {
 	return res, nil
 }
 
-// jsonDiag is the structured-output shape; LINT_BASELINE.json is an array
-// of these. Paths are relative to the working directory so the baseline is
-// machine-independent.
+// jsonDiag is the structured-output shape. Paths are relative to the
+// working directory so the output is machine-independent.
 type jsonDiag struct {
 	File       string `json:"file"`
 	Line       int    `json:"line"`
@@ -296,56 +291,6 @@ func emitJSON(stdout io.Writer, res *result) int {
 		if !d.Suppressed {
 			return 1
 		}
-	}
-	return 0
-}
-
-// diagKey identifies a finding for baseline comparison. Line numbers are
-// deliberately excluded: unrelated edits shift lines, and a baseline that
-// rots on every edit gets deleted, not maintained.
-func diagKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// diffBaseline fails only on unsuppressed findings absent from the
-// baseline file. Only unsuppressed baseline entries join the match set:
-// a finding whose allow comment was deleted is a NEW unsuppressed finding
-// even though the baseline records its suppressed twin.
-func diffBaseline(stdout, stderr io.Writer, res *result, path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "privmemvet: baseline: %v\n", err)
-		return 2
-	}
-	var base []jsonDiag
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(stderr, "privmemvet: baseline %s: %v\n", path, err)
-		return 2
-	}
-	known := map[string]bool{}
-	for _, d := range base {
-		if !d.Suppressed {
-			known[diagKey(d.File, d.Analyzer, d.Message)] = true
-		}
-	}
-	newCount, oldCount := 0, 0
-	for _, d := range toJSONDiags(res.diags) {
-		if d.Suppressed {
-			continue
-		}
-		if known[diagKey(d.File, d.Analyzer, d.Message)] {
-			oldCount++
-			continue
-		}
-		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", d.File, d.Line, d.Analyzer, d.Message)
-		newCount++
-	}
-	if newCount > 0 {
-		fmt.Fprintf(stderr, "privmemvet: %d new finding(s) not in %s\n", newCount, path)
-		return 1
-	}
-	if oldCount > 0 {
-		fmt.Fprintf(stderr, "privmemvet: %d pre-existing baseline finding(s) ignored\n", oldCount)
 	}
 	return 0
 }

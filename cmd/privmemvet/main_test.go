@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,10 +65,9 @@ func TestScopePredicates(t *testing.T) {
 }
 
 // The scratch fixture drives the structured-output modes: -json must carry
-// every finding with analyzer and file, -baseline must silence exactly the
-// findings recorded in the baseline and fail on anything new, and -stats
-// must emit benchjson-parseable lines.
-func TestJSONBaselineAndStats(t *testing.T) {
+// every finding with analyzer and file, and -stats must emit
+// benchjson-parseable lines.
+func TestJSONAndStats(t *testing.T) {
 	scratch := "../../internal/analysis/testdata/scratch/scratch.go"
 
 	var jsonOut, stderr bytes.Buffer
@@ -83,31 +80,6 @@ func TestJSONBaselineAndStats(t *testing.T) {
 	}
 	if len(diags) != 9 {
 		t.Errorf("-json carries %d findings, want 9 (one per analyzer)", len(diags))
-	}
-
-	// A baseline recording the scratch findings makes the same run pass...
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(baseline, jsonOut.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	stderr.Reset()
-	if code := run([]string{"-baseline", baseline, scratch}, &out, &stderr); code != 0 {
-		t.Errorf("-baseline with own findings exit = %d, want 0\n%s%s", code, out.String(), stderr.String())
-	}
-
-	// ...while an empty baseline fails on every finding as new.
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte("[]"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", empty, scratch}, &out, &stderr); code != 1 {
-		t.Errorf("-baseline with empty baseline exit = %d, want 1", code)
-	}
-	if got := strings.Count(out.String(), "\n"); got != 9 {
-		t.Errorf("empty-baseline diff printed %d new findings, want 9\n%s", got, out.String())
 	}
 
 	var statsOut bytes.Buffer

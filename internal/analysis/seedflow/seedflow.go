@@ -23,7 +23,7 @@ import (
 var Analyzer = New(DefaultDerivers)
 
 // DefaultDerivers are the FNV-1a seed-derivation helpers recognised across
-// the repository: experiments.subSeed, invariant's rng helper, the Options
+// the repository: seeds.SubSeed, invariant's rng helper, the Options
 // plumbing that already hashes (ForExperiment) or normalises (Options.seed)
 // the base seed, and hash.Hash64.Sum64 itself — a seed read straight off an
 // FNV state is the derivation, not an ad-hoc offset.

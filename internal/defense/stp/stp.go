@@ -22,15 +22,14 @@
 package stp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"time"
 
 	"privmem/internal/nettrace"
+	"privmem/internal/seeds"
 )
 
 // ErrBadConfig indicates invalid padding parameters.
@@ -176,7 +175,7 @@ func Pad(cap *nettrace.Capture, cfg Config) (*nettrace.Capture, *Report, error) 
 		if len(sigs) == 0 {
 			continue
 		}
-		rng := rand.New(rand.NewSource(subSeed(cfg.Seed, dev.Name)))
+		rng := rand.New(rand.NewSource(seeds.SubSeed(cfg.Seed, dev.Name)))
 		for e := 0; e < epochs; e++ {
 			if active[e] {
 				continue
@@ -257,17 +256,4 @@ func jitterBytes(rng *rand.Rand, mean int) int {
 	}
 	f := 0.7 + 0.6*rng.Float64()
 	return int(float64(mean) * f)
-}
-
-// subSeed derives the per-device random stream: the FNV-1a hash of
-// (base, label), the same derivation the experiment suite uses. Ad-hoc
-// arithmetic (seed+i) is forbidden here for the same reason it is there —
-// offsets collide across devices and correlate streams.
-func subSeed(base int64, label string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
-	h.Write(b[:])
-	h.Write([]byte(label))
-	return int64(h.Sum64())
 }

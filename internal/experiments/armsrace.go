@@ -10,6 +10,7 @@ import (
 	"privmem/internal/defense/stp"
 	"privmem/internal/home"
 	"privmem/internal/nettrace"
+	"privmem/internal/seeds"
 )
 
 // ArmsRaceIDs lists the arms-race experiments: the adaptive-adversary
@@ -76,11 +77,11 @@ func armsRaceWorld(seed int64, lab, victim *nettrace.Capture, tr *home.Trace) (*
 		w.labs[gen], w.victims[gen], w.overhead[gen] = sl, sv, rep.PaddingOverhead
 	}
 
-	pl, _, err := stp.Pad(lab, stp.DefaultConfig(subSeed(seed, "stp lab")))
+	pl, _, err := stp.Pad(lab, stp.DefaultConfig(seeds.SubSeed(seed, "stp lab")))
 	if err != nil {
 		return nil, fmt.Errorf("arms race D3 lab: %w", err)
 	}
-	pv, rep, err := stp.Pad(victim, stp.DefaultConfig(subSeed(seed, "stp victim")))
+	pv, rep, err := stp.Pad(victim, stp.DefaultConfig(seeds.SubSeed(seed, "stp victim")))
 	if err != nil {
 		return nil, fmt.Errorf("arms race D3 victim: %w", err)
 	}

@@ -68,7 +68,7 @@ type figure1Home struct {
 // day. The seed scan (up to 25 simulations per home) makes this one of the
 // costlier worlds, so it is memoized.
 func figure1Series(opts Options) ([]figure1Home, []string, error) {
-	homes, err := memoWorld(memoKey("figure1", opts), func() ([]figure1Home, error) {
+	homes, err := memoWorld(opts.CacheKey("figure1"), func() ([]figure1Home, error) {
 		h, _, err := figure1SeriesUncached(opts)
 		return h, err
 	})
@@ -204,7 +204,7 @@ type chprWorkload struct {
 
 // chprWorld builds (or returns the memoized) CHPr evaluation world.
 func chprWorld(opts Options) (*chprWorkload, error) {
-	return memoWorld(memoKey("chpr", opts), func() (*chprWorkload, error) {
+	return memoWorld(opts.CacheKey("chpr"), func() (*chprWorkload, error) {
 		seed := opts.seed()
 		cfg := home.DefaultConfig(seed + 101)
 		cfg.Days = 7
@@ -309,7 +309,7 @@ type niomHome struct {
 // niomPopulation builds (or returns the memoized) t1 home population: the
 // diverse simulated homes and their metered streams. Detection runs live.
 func niomPopulation(opts Options, nHomes, days int) ([]niomHome, error) {
-	return memoWorld(memoKey("niompop", opts), func() ([]niomHome, error) {
+	return memoWorld(opts.CacheKey("niompop"), func() ([]niomHome, error) {
 		seed := opts.seed()
 		// Each home owns its seeded generators, so the homes simulate
 		// concurrently into fixed slots.

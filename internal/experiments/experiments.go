@@ -7,12 +7,12 @@ package experiments
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
+
+	"privmem/internal/seeds"
 )
 
 // ErrUnknown indicates an unknown experiment id.
@@ -64,25 +64,9 @@ func (o Options) seed() int64 {
 // decorrelated random streams. The derived Options set SeedSet, so a hash
 // that lands on zero is used verbatim.
 func (o Options) ForExperiment(id string) Options {
-	o.Seed = subSeed(o.seed(), id)
+	o.Seed = seeds.SubSeed(o.seed(), id)
 	o.SeedSet = true
 	return o
-}
-
-// subSeed derives the seed for the named random stream under base: the
-// FNV-1a hash of (base, label). Every generator an experiment constructs
-// beyond its primary one must seed through this helper rather than ad-hoc
-// arithmetic (seed+6): offsets collide the moment two call sites pick the
-// same constant, silently correlating streams the evaluation assumes are
-// independent. The seedflow analyzer enforces this at every
-// rand.NewSource call in this package.
-func subSeed(base int64, label string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
-	h.Write(b[:])
-	h.Write([]byte(label))
-	return int64(h.Sum64())
 }
 
 // CacheKey returns the canonical cache key for running experiment id with

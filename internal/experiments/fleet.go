@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"privmem/internal/fleet"
+	"privmem/internal/seeds"
 )
 
 // FleetIDs lists the fleet-scale experiments. Like the ablations they are
@@ -28,7 +28,7 @@ func fleetRegistry() map[string]Runner {
 // any worker count, which the invariant suite pins.
 func FleetStreaming(opts Options) (*Report, error) {
 	spec := fleet.DefaultSpec()
-	spec.Seed = subSeed(opts.seed(), "fleet")
+	spec.Seed = seeds.SubSeed(opts.seed(), "fleet")
 	spec.Homes, spec.Days = 2000, 3
 	if opts.Quick {
 		spec.Homes, spec.Days = 200, 2
@@ -54,7 +54,7 @@ func FleetStreaming(opts Options) (*Report, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d homes x %d days, %d variants/archetype, window %s",
-				res.Homes, res.Days, res.Variants, time.Duration(spec.Window)),
+				res.Homes, res.Days, res.Variants, fleet.Window),
 			"accuracies are per-home fractions vs ground-truth household activity",
 			"summary is bit-identical at any worker count (invariant suite law)",
 		},

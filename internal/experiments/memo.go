@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // World memoization. Profiling RunAll shows most experiment wall-clock goes
 // into rebuilding deterministic "worlds" — home.Simulate traces, meter.Read
@@ -85,15 +82,10 @@ func worldBuildCount(key string) int {
 	return worldMemo.builds[key]
 }
 
-// memoKey derives the canonical memo key for a world builder under opts:
-// the builder name plus the effective seed and scale. Everything a builder
-// reads from Options must be captured here.
-func memoKey(builder string, opts Options) string {
-	return fmt.Sprintf("%s|seed=%d|quick=%t", builder, opts.seed(), opts.Quick)
-}
-
 // memoWorld returns the world cached under key, building it at most once
-// per cache generation. Concurrent callers singleflight: one builds, the
+// per cache generation. Callers key a world by opts.CacheKey(builder): the
+// builder name plus the effective seed and scale, so everything a builder
+// reads from Options must be captured there. Concurrent callers singleflight: one builds, the
 // rest wait on the same entry. Build errors propagate to every waiter but
 // leave no entry behind.
 //

@@ -20,7 +20,7 @@ func memoKeyForID(id string, opts Options) string {
 	builder := map[string]string{
 		"f2": "nilm", "t2": "nilm", "t4": "battery", "t10": "localiot",
 	}[id]
-	return memoKey(builder, opts.ForExperiment(id))
+	return opts.ForExperiment(id).CacheKey(builder)
 }
 
 // TestWorldMemoBuildsOnceUnderConcurrentRunAll races several RunAll
@@ -103,7 +103,7 @@ func TestWorldMemoSingleflightSharesOneWorld(t *testing.T) {
 			t.Fatalf("caller %d got a different world instance", i)
 		}
 	}
-	if got := worldBuildCount(memoKey("battery", opts)); got != 1 {
+	if got := worldBuildCount(opts.CacheKey("battery")); got != 1 {
 		t.Fatalf("built %d times, want 1", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestWorldMemoErrorNotCached(t *testing.T) {
 	}()
 
 	opts := Options{Quick: true, Seed: 99, SeedSet: true}
-	key := memoKey("battery", opts)
+	key := opts.CacheKey("battery")
 	boom := errors.New("forced world-build failure")
 	worldBuildErrHook = func(k string) error {
 		if k == key {
@@ -178,7 +178,7 @@ func TestWorldMemoDisabledRebuilds(t *testing.T) {
 	if w1 == w2 {
 		t.Fatal("memo disabled but calls shared one world instance")
 	}
-	if got := worldBuildCount(memoKey("battery", opts)); got != 2 {
+	if got := worldBuildCount(opts.CacheKey("battery")); got != 2 {
 		t.Fatalf("build count %d, want 2 with memo disabled", got)
 	}
 }

@@ -28,7 +28,7 @@ type networkWorkload struct {
 // (serving-tier cache misses, benchmark iterations), not within one suite
 // pass.
 func networkWorld(opts Options) (lab, victim *nettrace.Capture, tr *home.Trace, err error) {
-	w, err := memoWorld(memoKey("network", opts), func() (*networkWorkload, error) {
+	w, err := memoWorld(opts.CacheKey("network"), func() (*networkWorkload, error) {
 		l, v, t, err := networkWorldUncached(opts)
 		if err != nil {
 			return nil, err

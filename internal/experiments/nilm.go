@@ -95,7 +95,7 @@ func (w *nilmWorkload) defaultFHMM() (*fhmmArtifacts, error) {
 
 // buildNILMWorkload returns the memoized shared workload for opts.
 func buildNILMWorkload(opts Options) (*nilmWorkload, error) {
-	return memoWorld(memoKey("nilm", opts), func() (*nilmWorkload, error) {
+	return memoWorld(opts.CacheKey("nilm"), func() (*nilmWorkload, error) {
 		return buildNILMWorkloadUncached(opts)
 	})
 }
@@ -399,7 +399,7 @@ type batteryWorkload struct {
 
 // batteryWorld builds (or returns the memoized) battery-defense world.
 func batteryWorld(opts Options) (*batteryWorkload, error) {
-	return memoWorld(memoKey("battery", opts), func() (*batteryWorkload, error) {
+	return memoWorld(opts.CacheKey("battery"), func() (*batteryWorkload, error) {
 		seed := opts.seed()
 		days := 7
 		if opts.Quick {

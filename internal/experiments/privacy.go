@@ -13,6 +13,7 @@ import (
 	"privmem/internal/home"
 	"privmem/internal/meter"
 	"privmem/internal/par"
+	"privmem/internal/seeds"
 	"privmem/internal/stats"
 	"privmem/internal/timeseries"
 )
@@ -122,7 +123,7 @@ type dpWorkload struct {
 
 // dpWorldBuild builds (or returns the memoized) differential-privacy world.
 func dpWorld(opts Options) (*dpWorkload, error) {
-	return memoWorld(memoKey("dp", opts), func() (*dpWorkload, error) {
+	return memoWorld(opts.CacheKey("dp"), func() (*dpWorkload, error) {
 		seed := opts.seed()
 		nHomes, days := 200, 3
 		if opts.Quick {
@@ -158,7 +159,7 @@ func TableZKBilling(opts Options) (*Report, error) {
 	seed := opts.seed()
 	// The home and its hourly billing readings are the memoized world; the
 	// cryptographic commit/prove/verify flow below runs live every time.
-	readings, err := memoWorld(memoKey("zk", opts), func() ([]meter.Reading, error) {
+	readings, err := memoWorld(opts.CacheKey("zk"), func() ([]meter.Reading, error) {
 		intervals := 31 * 24 // a month of hourly readings
 		if opts.Quick {
 			intervals = 7 * 24
@@ -185,7 +186,7 @@ func TableZKBilling(opts Options) (*Report, error) {
 	// Commitment randomness comes from a seeded stream so the artifact is
 	// reproducible (production meters must pass crypto/rand.Reader); the
 	// commit/verify timings belong to the root benchmarks, not the report.
-	m := zkmeter.NewMeter(g, rand.New(rand.NewSource(subSeed(seed, "zk-commitments"))))
+	m := zkmeter.NewMeter(g, rand.New(rand.NewSource(seeds.SubSeed(seed, "zk-commitments"))))
 	if err := m.RecordAll(readings); err != nil {
 		return nil, fmt.Errorf("table zk: %w", err)
 	}
@@ -332,7 +333,7 @@ type localIoTWorkload struct {
 
 // localIoTWorld builds (or returns the memoized) local-analytics world.
 func localIoTWorld(opts Options) (*localIoTWorkload, error) {
-	return memoWorld(memoKey("localiot", opts), func() (*localIoTWorkload, error) {
+	return memoWorld(opts.CacheKey("localiot"), func() (*localIoTWorkload, error) {
 		seed := opts.seed()
 		cfg := home.DefaultConfig(seed + 3)
 		cfg.Days = 8

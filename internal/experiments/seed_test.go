@@ -1,8 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
 
-// subSeed is the single sanctioned way to seed a secondary random stream
+	"privmem/internal/seeds"
+)
+
+// seeds.SubSeed is the single sanctioned way to seed a secondary random stream
 // inside an experiment (the seedflow analyzer rejects seed+k arithmetic at
 // rand.NewSource call sites). These tests pin the derivation.
 
@@ -10,17 +14,17 @@ import "testing"
 // base seed followed by the label. Changing it silently would re-seed the
 // zk commitment stream and shift any report that renders random draws.
 func TestSubSeedGolden(t *testing.T) {
-	if got := subSeed(42, "zk-commitments"); got != -851963342613852277 {
-		t.Errorf("subSeed(42, %q) = %d, want -851963342613852277 (derivation changed?)", "zk-commitments", got)
+	if got := seeds.SubSeed(42, "zk-commitments"); got != -851963342613852277 {
+		t.Errorf("seeds.SubSeed(42, %q) = %d, want -851963342613852277 (derivation changed?)", "zk-commitments", got)
 	}
 }
 
-// ForExperiment is defined to be exactly subSeed over (effective seed, id):
+// ForExperiment is defined to be exactly seeds.SubSeed over (effective seed, id):
 // the daemon's cache keys and cmd/figures both rely on that equivalence.
 func TestForExperimentUsesSubSeed(t *testing.T) {
 	o := Options{Seed: 42, SeedSet: true}.ForExperiment("f1")
-	if want := subSeed(42, "f1"); o.Seed != want {
-		t.Errorf("ForExperiment seed = %d, want subSeed(42, f1) = %d", o.Seed, want)
+	if want := seeds.SubSeed(42, "f1"); o.Seed != want {
+		t.Errorf("ForExperiment seed = %d, want seeds.SubSeed(42, f1) = %d", o.Seed, want)
 	}
 	if o.Seed != 5352453935110933198 {
 		t.Errorf("ForExperiment(f1) seed = %d, want golden 5352453935110933198", o.Seed)
@@ -30,13 +34,13 @@ func TestForExperimentUsesSubSeed(t *testing.T) {
 // Distinct labels under the same base must decorrelate, and the same label
 // under distinct bases must too — the properties seed+k offsets lack.
 func TestSubSeedDecorrelates(t *testing.T) {
-	if subSeed(42, "a") == subSeed(42, "b") {
+	if seeds.SubSeed(42, "a") == seeds.SubSeed(42, "b") {
 		t.Error("distinct labels collided")
 	}
-	if subSeed(1, "a") == subSeed(2, "a") {
+	if seeds.SubSeed(1, "a") == seeds.SubSeed(2, "a") {
 		t.Error("distinct bases collided")
 	}
-	if subSeed(42, "a") == 42 {
+	if seeds.SubSeed(42, "a") == 42 {
 		t.Error("derived seed equals base seed")
 	}
 }

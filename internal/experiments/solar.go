@@ -28,7 +28,7 @@ type solarFleetWorkload struct {
 
 // solarFleetWorld builds (or returns the memoized) Figure 5 fleet world.
 func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
-	return memoWorld(memoKey("solarfleet", opts), func() (*solarFleetWorkload, error) {
+	return memoWorld(opts.CacheKey("solarfleet"), func() (*solarFleetWorkload, error) {
 		days, spacing := 365, 0.25
 		if opts.Quick {
 			days, spacing = 90, 0.75
@@ -236,7 +236,7 @@ type sundanceWorkload struct {
 // regional field and station grid plus each home's PV generation, load
 // trace, and net-metered stream.
 func sundanceWorld(opts Options) (*sundanceWorkload, error) {
-	return memoWorld(memoKey("sundance", opts), func() (*sundanceWorkload, error) {
+	return memoWorld(opts.CacheKey("sundance"), func() (*sundanceWorkload, error) {
 		seed := opts.seed()
 		days := 28
 		nHomes := 6

@@ -6,6 +6,7 @@ import (
 
 	"privmem/internal/home"
 	"privmem/internal/nettrace"
+	"privmem/internal/seeds"
 	"privmem/internal/sun"
 	"privmem/internal/timeseries"
 	"privmem/internal/weather"
@@ -149,10 +150,10 @@ func (a Archetype) cloudField(seed int64, dayStart time.Time) (*weather.Field, e
 // home simulation. Variant diversity comes from a small deterministic jitter
 // stream derived from the variant seed; day-to-day diversity comes from the
 // home simulator's own seed edge per day.
-func (a Archetype) homeConfig(spec Spec, variantSeed int64, day int) home.Config {
+func (a Archetype) homeConfig(variantSeed int64, day int) home.Config {
 	var vr rng
 	vr.s = uint64(variantSeed)
-	cfg := home.DefaultConfig(subSeed(variantSeed, "home-day"+strconv.Itoa(day)))
+	cfg := home.DefaultConfig(seeds.SubSeed(variantSeed, "home-day"+strconv.Itoa(day)))
 	cfg.Start = fleetStart.Add(time.Duration(day) * 24 * time.Hour)
 	cfg.Days = 1
 	cfg.Step = time.Minute
@@ -173,7 +174,7 @@ func (a Archetype) homeConfig(spec Spec, variantSeed int64, day int) home.Config
 // the home's activity series so network events track occupancy.
 func (a Archetype) netConfig(variantSeed int64, day int, activity *timeseries.Series) nettrace.Config {
 	return nettrace.Config{
-		Seed:     subSeed(variantSeed, "net-day"+strconv.Itoa(day)),
+		Seed:     seeds.SubSeed(variantSeed, "net-day"+strconv.Itoa(day)),
 		Start:    fleetStart.Add(time.Duration(day) * 24 * time.Hour),
 		Days:     1,
 		Counts:   a.NetCounts,

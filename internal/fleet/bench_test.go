@@ -3,10 +3,9 @@ package fleet
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
-// BenchmarkFleetStreaming measures the fleet pipeline end to end at a small
+// BenchmarkFleetStreaming measures the fleet run end to end at a small
 // population and reports the headline columns the BENCH_fleet.json snapshot
 // tracks: ingest throughput in homes/sec, live bytes/home, and the median
 // per-home NIOM accuracy as the leakage signal's sanity anchor. Timing uses
@@ -18,11 +17,7 @@ func BenchmarkFleetStreaming(b *testing.B) {
 		Workers:  4,
 		Days:     2,
 		Seed:     42,
-		Step:     15 * time.Minute,
-		Window:   time.Hour,
-		History:  8,
 		Variants: 4,
-		Buffer:   2,
 	}
 	b.ReportAllocs()
 	var before runtime.MemStats
@@ -49,5 +44,5 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	b.ReportMetric(res.NIOMAccuracy.P50, "niom_acc_p50")
 	// Leakage latency: how much simulated time passes before the attack has
 	// a per-home verdict — one analysis window.
-	b.ReportMetric(spec.Window.Seconds(), "leak_latency_sec")
+	b.ReportMetric(Window.Seconds(), "leak_latency_sec")
 }

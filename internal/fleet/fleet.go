@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"privmem/internal/attack/fingerprint"
@@ -15,23 +14,24 @@ import (
 	"privmem/internal/meter"
 	"privmem/internal/metrics"
 	"privmem/internal/nettrace"
+	"privmem/internal/par"
+	"privmem/internal/seeds"
 )
 
-// chunk is one simulated (day, archetype, variant) slab, the unit flowing
-// from the generator to the ingest workers. Everything inside is read-only
-// after construction (workers share the pointer), and its size is a few
-// kilobytes regardless of population or horizon.
+// chunk is one simulated (day, archetype, variant) slab, shared by every
+// home of that variant. Everything inside is read-only after construction
+// (ingest shards share the pointer), and its size is a few kilobytes
+// regardless of population or horizon.
 type chunk struct {
-	day, arch, variant int
-	// agg is the variant's metered aggregate at Spec.Step, day-factor
-	// applied, before per-home scaling and noise.
+	// agg is the variant's metered aggregate at step, day-factor applied,
+	// before per-home scaling and noise.
 	agg []float64
 	// truthAct is the per-analysis-window majority label of the variant's
 	// ground-truth activity (occupant present and awake) — the signal power
 	// draw and device traffic both follow.
 	truthAct []uint8
 	// fhmmOn is the incremental FHMM decoder's per-window activity verdict
-	// for the variant (computed by the generator, single-goroutine).
+	// for the variant.
 	fhmmOn []uint8
 	// events counts event-scale network flows per window.
 	events []int32
@@ -39,7 +39,7 @@ type chunk struct {
 	noise float64
 }
 
-// homeState is one home's entire footprint in the pipeline: the online NIOM
+// homeState is one home's entire footprint in the run: the online NIOM
 // detector, the home's private generator, and a handful of counters. Its
 // size is fixed at init — the sum over homes is the run's dominant, and
 // constant, allocation.
@@ -134,20 +134,19 @@ type runner struct {
 	// row is carried across the whole horizon (built from prep tables
 	// shared per archetype).
 	decoders [][]*hmm.StreamDecoder
-	// Per-capita leakage distributions, recorded in micro-units. Histogram
-	// adds are commutative, so any worker count and scheduling yields
-	// bit-identical counters.
-	histNIOM, histNet, histFHMM, histZ *metrics.FixedHistogram
+	// chunks[arch*Variants+variant] is the current day's chunk.
+	chunks []*chunk
+	// scratch[w] is ingest shard w's NIOM scratch. Each is its own
+	// allocation: packed into one slice, neighbouring shards' structs share
+	// cache lines that every window boundary writes.
+	scratch []*niom.Scratch
 	// occ decides what counts as a traffic event (a flow moving at least
 	// EventBytes) and how many events per window read as activity
-	// (MinEvents). Its Window is unused: the fleet counts per Spec.Window.
+	// (MinEvents). Its Window is unused: the fleet counts per Window.
 	occ fingerprint.OccupancyConfig
-
-	k         int // samples per analysis window
-	winPerDay int
 }
 
-// Run executes the fleet pipeline and returns its summary.
+// Run simulates the fleet day by day and returns its summary.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -166,16 +165,12 @@ func Run(spec Spec) (*Result, error) {
 // newRunner builds the plan and the per-home state.
 func newRunner(spec Spec) (*runner, error) {
 	r := &runner{
-		spec:      spec,
-		k:         int(spec.Window / spec.Step),
-		winPerDay: int(24 * time.Hour / spec.Window),
-		// Accuracies live in [0, 1]: 2000 linear buckets give 0.05%
-		// resolution. Max z-scores are open-ended but small; clamp at 64.
-		histNIOM: metrics.NewFixedHistogram(2000, 1_000_000),
-		histNet:  metrics.NewFixedHistogram(2000, 1_000_000),
-		histFHMM: metrics.NewFixedHistogram(2000, 1_000_000),
-		histZ:    metrics.NewFixedHistogram(2048, 64_000_000),
-		occ:      fingerprint.DefaultOccupancyConfig(),
+		spec:    spec,
+		scratch: make([]*niom.Scratch, spec.Workers),
+		occ:     fingerprint.DefaultOccupancyConfig(),
+	}
+	for w := range r.scratch {
+		r.scratch[w] = &niom.Scratch{}
 	}
 
 	mix := spec.effectiveMix()
@@ -187,11 +182,11 @@ func newRunner(spec Spec) (*runner, error) {
 			arch: arch,
 			lo:   lo,
 			hi:   lo + counts[i],
-			seed: subSeed(spec.Seed, "archetype:"+arch.Name),
+			seed: seeds.SubSeed(spec.Seed, "archetype:"+arch.Name),
 		}
 		for v := 0; v < spec.Variants; v++ {
 			p.variantSeeds = append(p.variantSeeds,
-				subSeed(p.seed, "variant:"+strconv.Itoa(v)))
+				seeds.SubSeed(p.seed, "variant:"+strconv.Itoa(v)))
 		}
 		r.plans = append(r.plans, p)
 		lo = p.hi
@@ -200,6 +195,7 @@ func newRunner(spec Spec) (*runner, error) {
 	// One factorial decoder per (archetype, variant): a background chain and
 	// an activity chain whose joint Viterbi is decoded incrementally, delta
 	// carried across every window of the horizon.
+	r.chunks = make([]*chunk, len(r.plans)*spec.Variants)
 	r.decoders = make([][]*hmm.StreamDecoder, len(r.plans))
 	for ai, p := range r.plans {
 		f, err := archFactorial(p.arch)
@@ -208,7 +204,7 @@ func newRunner(spec Spec) (*runner, error) {
 		}
 		r.decoders[ai] = make([]*hmm.StreamDecoder, spec.Variants)
 		for v := range r.decoders[ai] {
-			d, err := f.NewStreamDecoder(r.k)
+			d, err := f.NewStreamDecoder(samplesPerWindow)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %w", err)
 			}
@@ -217,14 +213,14 @@ func newRunner(spec Spec) (*runner, error) {
 	}
 
 	r.states = make([]homeState, spec.Homes)
-	ncfg := niom.Config{Window: spec.Window}
+	ncfg := niom.Config{Window: Window}
 	for _, p := range r.plans {
 		for h := p.lo; h < p.hi; h++ {
 			st := &r.states[h]
-			st.rng.s = uint64(subSeedIndex(spec.Seed, "home", h))
+			st.rng.s = uint64(seeds.SubSeedIndex(spec.Seed, "home", h))
 			st.scale = 1 + p.arch.ScaleJitter*(2*st.rng.float64v()-1)
 			st.netScale = 0.8 + 0.4*st.rng.float64v()
-			stream, err := niom.NewStream(ncfg, spec.Step, spec.History, niom.ModeThreshold)
+			stream, err := niom.NewStream(ncfg, step, history, niom.ModeThreshold)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %w", err)
 			}
@@ -254,63 +250,53 @@ func archFactorial(a Archetype) (*hmm.Factorial, error) {
 	}, 40+a.MeterNoiseW)
 }
 
-// run wires the generator to the workers and waits for completion.
+// run advances the whole population one simulated day at a time.
 func (r *runner) run() error {
-	k := r.spec.Workers
-	chans := make([]chan *chunk, k)
-	for i := range chans {
-		chans[i] = make(chan *chunk, r.spec.Buffer)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r.worker(w, chans[w])
-		}(w)
-	}
-	err := r.generate(chans)
-	wg.Wait()
-	return err
-}
-
-// generate simulates every (day, archetype, variant) chunk in a fixed order
-// and broadcasts each to all workers. It always closes the channels, so
-// workers terminate even when a simulation fails mid-run.
-func (r *runner) generate(chans []chan *chunk) (err error) {
-	defer func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-	for day := 0; day < r.spec.Days; day++ {
-		dayStart := fleetStart.Add(time.Duration(day) * 24 * time.Hour)
-		for ai := range r.plans {
-			p := &r.plans[ai]
-			if p.lo == p.hi {
-				continue
-			}
-			field, ferr := p.arch.cloudField(subSeed(p.seed, "weather-day"+strconv.Itoa(day)), dayStart)
-			if ferr != nil {
-				return fmt.Errorf("fleet weather: %w", ferr)
-			}
-			cloud := field.CloudAt(p.arch.Lat, p.arch.Lon, dayStart.Add(12*time.Hour))
-			df := p.arch.dayFactor(dayStart, cloud)
-			for v := 0; v < r.spec.Variants; v++ {
-				c, cerr := r.buildChunk(ai, v, day, df)
-				if cerr != nil {
-					return cerr
-				}
-				if r.spec.testHookChunk != nil {
-					r.spec.testHookChunk(day, ai, v)
-				}
-				for _, ch := range chans {
-					ch <- c
-				}
-			}
+	for day := range r.spec.Days {
+		if err := r.runDay(day); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// runDay builds every (archetype, variant) chunk of the day, then advances
+// every home through its variant's chunk. A variant's decoder is pushed only
+// by its own chunk build and a home's generator only by its own ingest, both
+// in day order, so the schedule inside either fan-out cannot reach the
+// result. A panic in either fan-out re-raises here, on the caller's
+// goroutine.
+func (r *runner) runDay(day int) error {
+	dayStart := fleetStart.Add(time.Duration(day) * 24 * time.Hour)
+	factors := make([]float64, len(r.plans))
+	for ai := range r.plans {
+		p := &r.plans[ai]
+		if p.lo == p.hi {
+			continue
+		}
+		field, err := p.arch.cloudField(seeds.SubSeed(p.seed, "weather-day"+strconv.Itoa(day)), dayStart)
+		if err != nil {
+			return fmt.Errorf("fleet weather: %w", err)
+		}
+		factors[ai] = p.arch.dayFactor(dayStart, field.CloudAt(p.arch.Lat, p.arch.Lon, dayStart.Add(12*time.Hour)))
+	}
+	V := r.spec.Variants
+	err := par.For(len(r.chunks), func(i int) error {
+		ai, v := i/V, i%V
+		if p := &r.plans[ai]; p.lo == p.hi {
+			return nil
+		}
+		c, err := r.buildChunk(ai, v, day, factors[ai])
+		r.chunks[i] = c
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return par.For(r.spec.Workers, func(w int) error {
+		r.ingest(w)
+		return nil
+	})
 }
 
 // buildChunk simulates one archetype variant for one day: household load
@@ -319,14 +305,14 @@ func (r *runner) generate(chans []chan *chunk) (err error) {
 func (r *runner) buildChunk(ai, v, day int, dayFactor float64) (*chunk, error) {
 	p := &r.plans[ai]
 	vs := p.variantSeeds[v]
-	hcfg := p.arch.homeConfig(r.spec, vs, day)
+	hcfg := p.arch.homeConfig(vs, day)
 	tr, err := home.Simulate(hcfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet home day %d: %w", day, err)
 	}
 	agg, err := meter.Read(meter.Config{
-		Seed:          subSeed(vs, "meter-day"+strconv.Itoa(day)),
-		Interval:      r.spec.Step,
+		Seed:          seeds.SubSeed(vs, "meter-day"+strconv.Itoa(day)),
+		Interval:      step,
 		QuantizationW: 1,
 	}, tr.Aggregate)
 	if err != nil {
@@ -335,24 +321,22 @@ func (r *runner) buildChunk(ai, v, day int, dayFactor float64) (*chunk, error) {
 	for i := range agg.Values {
 		agg.Values[i] *= dayFactor
 	}
-	wantSamples := r.winPerDay * r.k
-	if len(agg.Values) != wantSamples {
+	if wantSamples := windowsPerDay * samplesPerWindow; len(agg.Values) != wantSamples {
 		return nil, fmt.Errorf("%w: day yields %d samples, want %d",
 			ErrBadSpec, len(agg.Values), wantSamples)
 	}
 
 	c := &chunk{
-		day: day, arch: ai, variant: v,
 		agg:      agg.Values,
-		truthAct: windowMajority(tr.Active.Values, r.winPerDay),
-		events:   make([]int32, r.winPerDay),
+		truthAct: windowMajority(tr.Active.Values, windowsPerDay),
+		events:   make([]int32, windowsPerDay),
 		noise:    p.arch.MeterNoiseW,
 	}
 
 	// Incremental FHMM decode: the variant's decoder carries its delta row
 	// across days, emitting one window of joint states per analysis window.
 	dec := r.decoders[ai][v]
-	c.fhmmOn = make([]uint8, 0, r.winPerDay)
+	c.fhmmOn = make([]uint8, 0, windowsPerDay)
 	for _, x := range c.agg {
 		if states, ok := dec.Push(x); ok {
 			on := 0
@@ -362,15 +346,15 @@ func (r *runner) buildChunk(ai, v, day int, dayFactor float64) (*chunk, error) {
 				}
 			}
 			var lbl uint8
-			if 2*on >= r.k {
+			if 2*on >= samplesPerWindow {
 				lbl = 1
 			}
 			c.fhmmOn = append(c.fhmmOn, lbl)
 		}
 	}
-	if len(c.fhmmOn) != r.winPerDay {
+	if len(c.fhmmOn) != windowsPerDay {
 		return nil, fmt.Errorf("%w: decoder emitted %d windows, want %d",
-			ErrBadSpec, len(c.fhmmOn), r.winPerDay)
+			ErrBadSpec, len(c.fhmmOn), windowsPerDay)
 	}
 
 	// Network side: one day of LAN traffic driven by the household's
@@ -384,7 +368,7 @@ func (r *runner) buildChunk(ai, v, day int, dayFactor float64) (*chunk, error) {
 		if rec.BytesUp+rec.BytesDown < r.occ.EventBytes {
 			continue
 		}
-		if w := nettrace.WindowIndex(dayStart, rec.Time, r.spec.Window); w >= 0 && w < r.winPerDay {
+		if w := nettrace.WindowIndex(dayStart, rec.Time, Window); w >= 0 && w < windowsPerDay {
 			c.events[w]++
 		}
 	}
@@ -413,45 +397,26 @@ func windowMajority(vals []float64, windows int) []uint8 {
 	return out
 }
 
-// worker drains its chunk channel, processing the homes it owns (home h
-// belongs to worker h mod Workers), then folds its homes' per-capita results
-// into the shared histograms.
-func (r *runner) worker(w int, ch <-chan *chunk) {
-	sc := &niom.Scratch{}
-	for c := range ch {
-		r.processChunk(w, c, sc)
-	}
-	r.finalizeWorker(w)
-}
-
-// processChunk runs one chunk over every home the worker owns in the
-// chunk's (archetype, variant) slice. The homes satisfying
-// h ≡ variant (mod Variants) and h ≡ w (mod Workers) form a single residue
-// class mod lcm — iteration is O(owned homes), not O(range).
-func (r *runner) processChunk(w int, c *chunk, sc *niom.Scratch) {
-	p := &r.plans[c.arch]
-	v, K := r.spec.Variants, r.spec.Workers
-	l := lcm(v, K)
-	start := -1
-	for o := 0; o < l && p.lo+o < p.hi; o++ {
-		h := p.lo + o
-		if h%v == c.variant && h%K == w {
-			start = h
-			break
+// ingest advances shard w's homes, h ≡ w (mod Workers), through the day's
+// chunks; home h reads its archetype's variant h mod Variants. Shards
+// interleave rather than take contiguous ranges because homes are laid out
+// by archetype and per-home cost differs by archetype.
+func (r *runner) ingest(w int) {
+	K, V := r.spec.Workers, r.spec.Variants
+	sc := r.scratch[w]
+	for ai := range r.plans {
+		p := &r.plans[ai]
+		day := r.chunks[ai*V : (ai+1)*V]
+		for h := p.lo + ((w-p.lo)%K+K)%K; h < p.hi; h += K {
+			r.processHome(&r.states[h], day[h%V], sc)
 		}
-	}
-	if start < 0 {
-		return
-	}
-	for h := start; h < p.hi; h += l {
-		r.processHome(&r.states[h], c, sc)
 	}
 }
 
 // processHome advances one home through one chunk: per-sample noising into
 // the online NIOM detector, and per window the three live leakage signals.
 // All randomness comes from the home's own generator in a fixed draw order,
-// so the result is independent of which worker runs it and when.
+// so the result is independent of which shard runs it and when.
 func (r *runner) processHome(st *homeState, c *chunk, sc *niom.Scratch) {
 	wi := 0
 	for _, v := range c.agg {
@@ -505,43 +470,44 @@ func (r *runner) processHome(st *homeState, c *chunk, sc *niom.Scratch) {
 	}
 }
 
-// finalizeWorker folds every owned home into the per-capita histograms, in
-// micro-units. Histogram adds commute, so the counters are identical no
-// matter how homes were sharded.
-func (r *runner) finalizeWorker(w int) {
-	for h := w; h < len(r.states); h += r.spec.Workers {
-		st := &r.states[h]
-		if st.niomTotal == 0 {
-			continue
-		}
-		r.histNIOM.Observe(micro(float64(st.niomCorrect) / float64(st.niomTotal)))
-		r.histNet.Observe(micro(float64(st.netCorrect) / float64(st.netTotal)))
-		r.histFHMM.Observe(micro(float64(st.fhmmCorrect) / float64(st.fhmmTotal)))
-		r.histZ.Observe(micro(st.maxZ))
-	}
-}
-
 // micro converts a non-negative float to integer micro-units.
 func micro(v float64) int64 {
 	return int64(math.Round(v * 1e6))
 }
 
-// result assembles the summary from the histograms.
+// result folds every home's counters, in micro-units, into the per-capita
+// histograms and reads the summary off them.
 func (r *runner) result() *Result {
+	// Accuracies live in [0, 1]: 2000 linear buckets give 0.05% resolution.
+	// Max z-scores are open-ended but small; clamp at 64.
+	histNIOM := metrics.NewFixedHistogram(2000, 1_000_000)
+	histNet := metrics.NewFixedHistogram(2000, 1_000_000)
+	histFHMM := metrics.NewFixedHistogram(2000, 1_000_000)
+	histZ := metrics.NewFixedHistogram(2048, 64_000_000)
+	for h := range r.states {
+		st := &r.states[h]
+		if st.niomTotal == 0 {
+			continue
+		}
+		histNIOM.Observe(micro(float64(st.niomCorrect) / float64(st.niomTotal)))
+		histNet.Observe(micro(float64(st.netCorrect) / float64(st.netTotal)))
+		histFHMM.Observe(micro(float64(st.fhmmCorrect) / float64(st.fhmmTotal)))
+		histZ.Observe(micro(st.maxZ))
+	}
 	res := &Result{
 		Homes:          r.spec.Homes,
 		Workers:        r.spec.Workers,
 		Days:           r.spec.Days,
 		Variants:       r.spec.Variants,
-		WindowsPerHome: r.spec.Days * r.winPerDay,
+		WindowsPerHome: r.spec.Days * windowsPerDay,
+		NIOMAccuracy:   quantilesOf(histNIOM),
+		NetAccuracy:    quantilesOf(histNet),
+		FHMMAccuracy:   quantilesOf(histFHMM),
+		MaxZ:           quantilesOf(histZ),
 	}
 	for _, p := range r.plans {
 		res.Mix = append(res.Mix, ArchCount{Name: p.arch.Name, Homes: p.hi - p.lo})
 	}
-	res.NIOMAccuracy = quantilesOf(r.histNIOM)
-	res.NetAccuracy = quantilesOf(r.histNet)
-	res.FHMMAccuracy = quantilesOf(r.histFHMM)
-	res.MaxZ = quantilesOf(r.histZ)
 	return res
 }
 
@@ -553,13 +519,3 @@ func quantilesOf(h *metrics.FixedHistogram) Quantiles {
 		P99: float64(h.Quantile(0.99)) / 1e6,
 	}
 }
-
-// gcd and lcm on small positive ints.
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }

@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // quickSpec is a small fleet that still exercises every archetype, multiple
@@ -15,11 +15,7 @@ func quickSpec() Spec {
 		Workers:  1,
 		Days:     2,
 		Seed:     7,
-		Step:     15 * time.Minute,
-		Window:   time.Hour,
-		History:  6,
 		Variants: 3,
-		Buffer:   2,
 	}
 }
 
@@ -149,19 +145,40 @@ func TestRunCustomMix(t *testing.T) {
 // TestRunRejectsBadSpec: validation failures surface as ErrBadSpec without
 // running anything.
 func TestRunRejectsBadSpec(t *testing.T) {
-	bad := quickSpec()
-	bad.Step = 7 * time.Minute // does not divide an hour
-	if _, err := Run(bad); err == nil {
-		t.Fatal("step not dividing an hour accepted")
+	for name, mutate := range map[string]func(*Spec){
+		"negative homes":    func(s *Spec) { s.Homes = -1 },
+		"homes over bound":  func(s *Spec) { s.Homes = MaxHomes + 1 },
+		"workers over":      func(s *Spec) { s.Workers = MaxWorkers + 1 },
+		"negative days":     func(s *Spec) { s.Days = -2 },
+		"variants over":     func(s *Spec) { s.Variants = MaxVariants + 1 },
+		"unknown archetype": func(s *Spec) { s.Mix = []Share{{Archetype: "mansion", Weight: 1}} },
+		"zero weight":       func(s *Spec) { s.Mix = []Share{{Archetype: "family", Weight: 0}} },
+	} {
+		bad := quickSpec()
+		mutate(&bad)
+		if _, err := Run(bad); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: Run = %v, want ErrBadSpec", name, err)
+		}
 	}
-	bad = quickSpec()
-	bad.Window = 5 * time.Hour // does not divide a day
-	if _, err := Run(bad); err == nil {
-		t.Fatal("window not dividing a day accepted")
+}
+
+// TestRunPanicReachesCaller: a panic while a home is ingested re-raises on
+// the goroutine that called run, where a recover (the experiment runner's,
+// or this test's) contains it instead of the process dying.
+func TestRunPanicReachesCaller(t *testing.T) {
+	spec := quickSpec()
+	spec.Workers = 3
+	r, err := newRunner(spec.withDefaults())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = quickSpec()
-	bad.Mix = []Share{{Archetype: "mansion", Weight: 1}}
-	if _, err := Run(bad); err == nil {
-		t.Fatal("unknown archetype accepted")
+	r.states[len(r.states)/2].stream = nil
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		r.run()
+	}()
+	if got == nil {
+		t.Fatal("run returned normally with a nil stream")
 	}
 }

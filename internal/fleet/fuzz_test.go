@@ -1,64 +1,64 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzFleetConfig feeds arbitrary strings to the fleet spec parser. The
-// parser must never panic and never allocate proportionally to hostile field
-// values (a claimed million-part mix or a 50-million-home population must be
-// rejected by bounds checks, not materialized). Accepted specs must be
-// valid, within every documented bound, and re-parse to the same spec.
+// FuzzFleetConfig feeds arbitrary strings to the fleet mix parser, the one
+// piece of a fleet spec that arrives as text. The parser must never panic
+// and never allocate proportionally to hostile input (a claimed
+// million-part mix must be rejected by the bound, not materialized).
+// Accepted mixes must sit inside every documented bound, validate inside a
+// Spec, and apportion homes without losing any or going negative.
 func FuzzFleetConfig(f *testing.F) {
 	f.Add("")
-	f.Add("homes=1000 workers=4 days=2 seed=7")
-	f.Add("homes=1000000 workers=8 step=15m window=1h history=8 variants=4 buffer=2")
-	f.Add("mix=family:0.6,retired:0.4")
-	f.Add("mix=family:NaN")
-	f.Add("mix=family:-1")
-	f.Add("mix=family:Inf,apartment:1")
-	f.Add("homes=0")
-	f.Add("homes=-5 workers=-1")
-	f.Add("homes=99999999999999999999")
-	f.Add("step=0s window=0s")
-	f.Add("step=7m window=13m")
-	f.Add("window=25h")
-	f.Add("seed=x homes")
-	f.Add("mix=" + strings.Repeat("family:1,", 200))
-	f.Add("homes=1\x00workers=1")
+	f.Add("family:1")
+	f.Add("family:0.6,retired:0.4")
+	f.Add("family:0.5,apartment:0.3,cottage:0.2")
+	f.Add("family:1,apartment:1,retired:1,cottage:1")
+	f.Add("family:NaN")
+	f.Add("family:-1")
+	f.Add("family:Inf,apartment:1")
+	f.Add("family:0")
+	f.Add("family:1e9,apartment:1e9")
+	f.Add("family:5e-324,cottage:1")
+	f.Add("family:1,family:1")
+	f.Add("mansion:1")
+	f.Add(":1,family")
+	f.Add(strings.Repeat("family:1,", 200))
+	f.Add("family:1\x00,retired:1")
 
 	f.Fuzz(func(t *testing.T, s string) {
-		spec, err := ParseSpec(s)
+		mix, err := ParseMix(s)
 		if err != nil {
 			return // rejected input: any error is fine, panics are not
 		}
-		// Accepted spec: must validate and sit inside every bound.
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("parsed spec fails validation: %v (input %q)", err, s)
+		if len(mix) == 0 || len(mix) > MaxMixParts {
+			t.Fatalf("accepted %d mix parts (1..%d) (input %q)", len(mix), MaxMixParts, s)
 		}
-		if spec.Homes < 1 || spec.Homes > MaxHomes ||
-			spec.Workers < 1 || spec.Workers > MaxWorkers ||
-			spec.Days < 1 || spec.Days > MaxDays ||
-			spec.History < 1 || spec.History > MaxHistory ||
-			spec.Variants < 1 || spec.Variants > MaxVariants ||
-			spec.Buffer < 1 || spec.Buffer > MaxBuffer ||
-			len(spec.Mix) > MaxMixParts {
-			t.Fatalf("accepted spec out of bounds: %+v (input %q)", spec, s)
-		}
-		for _, m := range spec.Mix {
-			if m.Weight <= 0 || m.Weight != m.Weight {
-				t.Fatalf("accepted non-positive mix weight %v (input %q)", m.Weight, s)
+		for _, m := range mix {
+			if math.IsNaN(m.Weight) || math.IsInf(m.Weight, 0) || m.Weight <= 0 || m.Weight > MaxMixWeight {
+				t.Fatalf("accepted mix weight %v (input %q)", m.Weight, s)
 			}
 		}
-		// Apportionment over the accepted mix must conserve homes.
-		counts := assignCounts(spec.Homes, spec.effectiveMix())
-		total := 0
-		for _, c := range counts {
-			total += c
+		spec := DefaultSpec()
+		spec.Mix = mix
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted mix fails validation: %v (input %q)", err, s)
 		}
-		if total != spec.Homes {
-			t.Fatalf("assignCounts lost homes: %d of %d (input %q)", total, spec.Homes, s)
+		for _, homes := range []int{1, spec.Homes, MaxHomes} {
+			total := 0
+			for _, c := range assignCounts(homes, mix) {
+				if c < 0 {
+					t.Fatalf("assignCounts gave %d homes to a part (input %q)", c, s)
+				}
+				total += c
+			}
+			if total != homes {
+				t.Fatalf("assignCounts lost homes: %d of %d (input %q)", total, homes, s)
+			}
 		}
 	})
 }

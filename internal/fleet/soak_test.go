@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestSoakBoundedMemory is the bounded-memory contract: heap usage plateaus
@@ -22,11 +19,7 @@ func TestSoakBoundedMemory(t *testing.T) {
 		Workers:  2,
 		Days:     2,
 		Seed:     11,
-		Step:     15 * time.Minute,
-		Window:   time.Hour,
-		History:  6,
 		Variants: 2,
-		Buffer:   2,
 	}
 	short := soakHeap(t, spec)
 	spec.Days = 16 // 8x the horizon
@@ -39,99 +32,25 @@ func TestSoakBoundedMemory(t *testing.T) {
 	}
 }
 
-// soakHeap runs the spec with a hook that checkpoints the live heap at every
-// generated chunk and returns the high-water mark.
+// soakHeap runs the spec day by day, checkpointing the live heap at every
+// day boundary, and returns the high-water mark.
 func soakHeap(t *testing.T, spec Spec) uint64 {
 	t.Helper()
-	var mu sync.Mutex
-	var peak uint64
-	var calls int
-	spec.testHookChunk = func(day, archetype, variant int) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		// GC on a sparse sample of chunks so the checkpoint measures live
-		// bytes, not allocation turnover.
-		if calls%8 != 0 {
-			return
-		}
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
-	}
-	if _, err := Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	if peak == 0 {
-		t.Fatal("soak hook never checkpointed the heap")
-	}
-	return peak
-}
-
-// TestBackpressureBoundsProducer proves the backpressure contract white-box:
-// the generator broadcasts each chunk to every worker channel in order, so
-// with no consumer draining, the first channel fills after Buffer chunks and
-// the generator blocks with exactly one more chunk in hand. Producer
-// run-ahead is therefore Buffer+1 chunks no matter how long the horizon is —
-// a stalled ingest tier bounds producer memory instead of ballooning it.
-func TestBackpressureBoundsProducer(t *testing.T) {
-	spec := Spec{
-		Homes:    24,
-		Workers:  2,
-		Days:     6,
-		Seed:     3,
-		Step:     30 * time.Minute,
-		Window:   2 * time.Hour,
-		History:  4,
-		Variants: 2,
-		Buffer:   1,
-		Mix:      []Share{{Archetype: "apartment", Weight: 1}},
-	}
-	var produced atomic.Int32
-	spec.testHookChunk = func(day, archetype, variant int) { produced.Add(1) }
-
 	r, err := newRunner(spec.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	chans := make([]chan *chunk, spec.Workers)
-	for i := range chans {
-		chans[i] = make(chan *chunk, spec.Buffer)
+	var peak uint64
+	for day := range spec.Days {
+		if err := r.runDay(day); err != nil {
+			t.Fatal(err)
+		}
+		// GC first so the checkpoint measures live bytes, not allocation
+		// turnover.
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
 	}
-	done := make(chan error, 1)
-	go func() { done <- r.generate(chans) }()
-
-	// Give the generator ample time to run ahead if backpressure failed.
-	time.Sleep(400 * time.Millisecond)
-	limit := int32(spec.Buffer + 1)
-	if got := produced.Load(); got > limit {
-		t.Fatalf("generator finished %d chunks against stalled consumers (limit %d)", got, limit)
-	}
-	select {
-	case err := <-done:
-		t.Fatalf("generator returned (%v) while consumers were stalled", err)
-	default:
-	}
-
-	// Release: drain every channel; the run must then complete all chunks.
-	var wg sync.WaitGroup
-	for _, ch := range chans {
-		wg.Add(1)
-		go func(ch chan *chunk) {
-			defer wg.Done()
-			for range ch {
-			}
-		}(ch)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	want := int32(spec.Days * spec.Variants) // single-archetype mix
-	if got := produced.Load(); got != want {
-		t.Fatalf("run finished %d chunks, want %d", got, want)
-	}
+	return peak
 }

@@ -2,74 +2,45 @@ package fleet
 
 import (
 	"errors"
+	"strings"
 	"testing"
-	"time"
+
+	"privmem/internal/seeds"
 )
 
-// TestParseSpecFull parses every key and checks the result field by field.
-func TestParseSpecFull(t *testing.T) {
-	spec, err := ParseSpec("homes=5000 workers=8 days=3 seed=-9 step=30m window=2h history=12 variants=6 buffer=5 mix=family:0.5,cottage:0.5")
+// TestParseMix parses a mix and checks it part by part.
+func TestParseMix(t *testing.T) {
+	mix, err := ParseMix("family:0.5,cottage:1.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Homes != 5000 || spec.Workers != 8 || spec.Days != 3 || spec.Seed != -9 ||
-		spec.Step != 30*time.Minute || spec.Window != 2*time.Hour ||
-		spec.History != 12 || spec.Variants != 6 || spec.Buffer != 5 {
-		t.Fatalf("parsed spec %+v", spec)
-	}
-	if len(spec.Mix) != 2 || spec.Mix[0] != (Share{"family", 0.5}) || spec.Mix[1] != (Share{"cottage", 0.5}) {
-		t.Fatalf("parsed mix %+v", spec.Mix)
+	if len(mix) != 2 || mix[0] != (Share{"family", 0.5}) || mix[1] != (Share{"cottage", 1.5}) {
+		t.Fatalf("parsed mix %+v", mix)
 	}
 }
 
-// TestParseSpecDefaults: an empty string yields the default spec.
-func TestParseSpecDefaults(t *testing.T) {
-	spec, err := ParseSpec("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := DefaultSpec()
-	if spec.Homes != d.Homes || spec.Step != d.Step || spec.Window != d.Window {
-		t.Fatalf("defaults not applied: %+v", spec)
-	}
-}
-
-// TestParseSpecRejects enumerates hostile inputs; every one must fail with
+// TestParseMixRejects enumerates hostile inputs; every one must fail with
 // ErrBadSpec and none may panic or allocate per the claimed size.
-func TestParseSpecRejects(t *testing.T) {
+func TestParseMixRejects(t *testing.T) {
 	for _, s := range []string{
-		"homes=0",
-		"homes=-1",
-		"homes=50000001",        // just over MaxHomes
-		"homes=999999999999999", // would OOM if materialized naively
-		"workers=257",
-		"days=0",
-		"step=0s",
-		"step=-15m",
-		"step=7m",    // does not divide an hour
-		"window=25h", // longer than a day
-		"window=40m", // not a multiple of step=15m
-		"window=5h",  // does not divide a day
-		"history=0",
-		"variants=65",
-		"buffer=0",
-		"mix=",
-		"mix=family",            // no weight
-		"mix=:1",                // no name
-		"mix=mansion:1",         // unknown archetype
-		"mix=family:0",          // zero weight
-		"mix=family:-2",         // negative weight
-		"mix=family:NaN",        // NaN weight
-		"mix=family:+Inf",       // infinite weight
-		"mix=family:1,family:1", // duplicate
-		"bogus=1",
-		"homes",
-		"homes=",
-		"beam=8",          // removed key
-		"beam_mode=exact", // removed key
+		"",
+		"family",                                 // no weight
+		":1",                                     // no name
+		"family:",                                // empty weight
+		"family:x",                               // not a number
+		"mansion:1",                              // unknown archetype
+		"family:0",                               // zero weight
+		"family:-2",                              // negative weight
+		"family:NaN",                             // NaN weight
+		"family:+Inf",                            // infinite weight
+		"family:1e308,apartment:1e308",           // weights over MaxMixWeight
+		"family:1,family:1",                      // duplicate
+		"family:1,",                              // trailing empty part
+		"family:1 apartment:1",                   // whitespace is not a separator
+		strings.Repeat("family:1,", MaxMixParts), // one part over the bound
 	} {
-		if _, err := ParseSpec(s); !errors.Is(err, ErrBadSpec) {
-			t.Errorf("ParseSpec(%q) = %v, want ErrBadSpec", s, err)
+		if _, err := ParseMix(s); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("ParseMix(%q) = %v, want ErrBadSpec", s, err)
 		}
 	}
 }
@@ -142,22 +113,22 @@ func TestWindowMajority(t *testing.T) {
 	}
 }
 
-// TestSubSeedIndexDistinct: per-home seeds must differ across homes and
-// labels, and match a straightforward re-derivation.
+// TestSubSeedIndexDistinct: the per-home seed edge must give every home its
+// own seed, separate labels, and re-derive identically.
 func TestSubSeedIndexDistinct(t *testing.T) {
 	seen := map[int64]int{}
 	for h := 0; h < 1000; h++ {
-		s := subSeedIndex(42, "home", h)
+		s := seeds.SubSeedIndex(42, "home", h)
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("homes %d and %d share seed %d", prev, h, s)
 		}
 		seen[s] = h
 	}
-	if subSeedIndex(42, "home", 7) == subSeedIndex(42, "net", 7) {
+	if seeds.SubSeedIndex(42, "home", 7) == seeds.SubSeedIndex(42, "net", 7) {
 		t.Fatal("label does not separate seed streams")
 	}
-	if subSeedIndex(42, "home", 7) != subSeedIndex(42, "home", 7) {
-		t.Fatal("subSeedIndex not deterministic")
+	if seeds.SubSeedIndex(42, "home", 7) != seeds.SubSeedIndex(42, "home", 7) {
+		t.Fatal("SubSeedIndex not deterministic")
 	}
 }
 
