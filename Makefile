@@ -2,9 +2,9 @@
 # vet (of the main module and of the perfbench harness module), the
 # privmemvet analyzer suite (lint), build, the full test suite under the race
 # detector (the RunAll and serve concurrency tests only count as coverage
-# when raced), the per-package coverage floors, a fuzz smoke over both
-# untrusted decoders, and the memoird smoke test (random port, /healthz +
-# report probes, cache-hit verification, clean shutdown).
+# when raced), the per-package coverage floors, a fuzz smoke of the fleet
+# mix parser, and the memoird smoke test (random port, /healthz + report
+# probes, cache-hit verification, clean shutdown).
 
 GO ?= go
 
@@ -19,7 +19,7 @@ COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benc
 COVER_FLOOR_CMD ?= 35
 COVER_PKGS_CMD ?= ./cmd/memoird ./cmd/memoirload
 
-# Per-target budget for the fuzz smoke. CI uses the default; raise it for a
+# Budget for the fuzz smoke. CI uses the default; raise it for a
 # longer local hunt, e.g. `make fuzz FUZZTIME=10m`.
 FUZZTIME ?= 30s
 
@@ -110,12 +110,11 @@ cover-cmd:
 		fi; \
 	done
 
-# fuzz runs each native fuzz target for FUZZTIME against the checked-in
-# corpus under testdata/fuzz/. Any crasher is written back there as a
-# failing seed, so a red `make fuzz` leaves a reproducer behind.
+# fuzz runs the fleet mix parser's native fuzz target for FUZZTIME against
+# the checked-in corpus under internal/fleet/testdata/fuzz/. Any crasher is
+# written back there as a failing seed, so a red `make fuzz` leaves a
+# reproducer behind.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCapture$$' -fuzztime $(FUZZTIME) ./internal/nettrace
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 bench:

@@ -15,9 +15,9 @@ import (
 //     concrete receiver) adds an edge to the callee;
 //   - any other *reference* to a function — a function value passed as an
 //     argument (memoWorld's build closure parameter, sort.Slice
-//     comparators), stored in a map literal (the experiment registries),
-//     returned, or assigned — also adds an edge, because a referenced
-//     function may be invoked by whoever receives the value;
+//     comparators), stored in a composite literal, returned, or assigned —
+//     also adds an edge, because a referenced function may be invoked by
+//     whoever receives the value;
 //   - a function literal's body is attributed to the enclosing declared
 //     function: its sinks and calls count as the encloser's. This is what
 //     makes effects inside `memoWorld("x", func() {...})` builders visible

@@ -8,7 +8,7 @@
 // the global math/rand, map-iteration-ordered output, environment and
 // filesystem reads, and unsynchronized writes to package-level state.
 //
-// That set of roots is exactly what the registries behind AllIDs() can
+// That set of roots is exactly what the table behind AllIDs() can
 // dispatch to, so a clean certification is a static proof obligation
 // matching the repo's (seed,id)-purity contract (DESIGN.md §2, §13): the
 // golden bit-identity tests check that the current build is reproducible;

@@ -87,6 +87,13 @@ func (a *Adversary) Identify(victim *nettrace.Capture) (centroid, bayes *Identif
 	if err != nil {
 		return nil, nil, fmt.Errorf("adversary gen %d identify: %w", a.generation, err)
 	}
+	return a.IdentifyFeatures(victim, feats)
+}
+
+// IdentifyFeatures is Identify over features already extracted from the
+// victim at the adversary's Window, so several adversaries trained at one
+// window can score a victim from one extraction.
+func (a *Adversary) IdentifyFeatures(victim *nettrace.Capture, feats map[string][]nettrace.Features) (centroid, bayes *Identification, err error) {
 	label := fmt.Sprintf("adversary gen %d identify", a.generation)
 	centroid, err = identifyFeatures(victim, feats, a.centroid.ClassifyDevice, nil, label)
 	if err != nil {

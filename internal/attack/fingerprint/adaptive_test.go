@@ -146,3 +146,52 @@ func TestAdversaryValidation(t *testing.T) {
 		t.Error("identify on empty capture should fail")
 	}
 }
+
+// TestIdentifyFeaturesMatchesIdentify pins IdentifyFeatures to Identify
+// for every generation of an arms race: scoring a victim from one shared
+// extraction gives the results a fresh extraction per generation gives.
+func TestIdentifyFeaturesMatchesIdentify(t *testing.T) {
+	lab := labCapture(t, 41)
+	victim := victimCapture(t, 42)
+	a0, err := NewAdversary(lab, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adversaries := []*Adversary{a0}
+	victims := []*nettrace.Capture{victim}
+	for _, cfg := range []gateway.ShapeConfig{{}, {CellBytes: 200_000}} {
+		shapedLab, _, err := gateway.Shape(lab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapedVictim, _, err := gateway.Shape(victim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := a0.Retrain(shapedLab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adversaries = append(adversaries, a)
+		victims = append(victims, shapedVictim)
+	}
+	for i, v := range victims {
+		feats, err := nettrace.ExtractFeatures(v, a0.Window())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range adversaries {
+			wantC, wantB, err := a.Identify(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotC, gotB, err := a.IdentifyFeatures(v, feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotB, wantB) {
+				t.Errorf("victim %d, generation %d: IdentifyFeatures differs from Identify", i, a.Generation())
+			}
+		}
+	}
+}

@@ -238,9 +238,6 @@ func NewStream(cfg Config, step time.Duration, history int, mode Mode) (*Stream,
 	}, nil
 }
 
-// WindowSamples returns how many samples make one window.
-func (s *Stream) WindowSamples() int { return s.k }
-
 // Push feeds one power sample. When the sample completes a window, Push
 // labels that window over the trailing history and returns (label, true);
 // otherwise it returns (0, false). sc may be nil (a temporary is allocated);

@@ -19,25 +19,6 @@ import (
 	"privmem/internal/weather"
 )
 
-// AblationIDs lists the ablation studies: sensitivity analyses of the
-// design choices behind the headline results. They are not paper artifacts
-// but document why the implementations are configured as they are.
-func AblationIDs() []string {
-	return []string{"a1", "a2", "a3", "a4", "a5", "a6"}
-}
-
-// ablationRegistry returns the ablation runners.
-func ablationRegistry() map[string]Runner {
-	return map[string]Runner{
-		"a1": AblationNIOMDetector,
-		"a2": AblationPowerPlay,
-		"a3": AblationFHMMOtherChain,
-		"a4": AblationSunSpotDataSpan,
-		"a5": AblationWeathermanResolution,
-		"a6": AblationShapingEnvelope,
-	}
-}
-
 // AblationNIOMDetector sweeps the NIOM threshold detector's design choices:
 // window width, majority smoothing, and the edge test.
 func AblationNIOMDetector(opts Options) (*Report, error) {

@@ -13,22 +13,6 @@ import (
 	"privmem/internal/seeds"
 )
 
-// ArmsRaceIDs lists the arms-race experiments: the adaptive-adversary
-// evaluation in which attackers retrain through deployed defenses. Like the
-// ablations, they are not paper artifacts — they answer the question the
-// paper's static threat model leaves open ("I Still See You", Wang et al.):
-// how much protection survives an attacker that adapts?
-func ArmsRaceIDs() []string {
-	return []string{"ar1"}
-}
-
-// armsRaceRegistry returns the arms-race runners.
-func armsRaceRegistry() map[string]Runner {
-	return map[string]Runner{
-		"ar1": ArmsRaceMatrix,
-	}
-}
-
 // armsRaceDefenseCount is the number of defense generations in the matrix:
 // D0 none, D1 gateway per-device, D2 gateway bucketed, D3 STP.
 const armsRaceDefenseCount = 4
@@ -124,10 +108,22 @@ func ArmsRaceMatrix(opts Options) (*Report, error) {
 		}
 	}
 
+	// Every generation scores a victim from one extraction at the shared
+	// window.
+	window := adversaries[0].Window()
+	for k, a := range adversaries {
+		if a.Window() != window {
+			return nil, fmt.Errorf("arms race A%d: window %v, A0 trained at %v", k, a.Window(), window)
+		}
+	}
 	var acc, accBayes [armsRaceDefenseCount][armsRaceDefenseCount]float64
 	for i := 0; i < armsRaceDefenseCount; i++ {
+		feats, err := nettrace.ExtractFeatures(w.victims[i], window)
+		if err != nil {
+			return nil, fmt.Errorf("arms race D%d: %w", i, err)
+		}
 		for j := 0; j < armsRaceDefenseCount; j++ {
-			c, b, err := adversaries[j].Identify(w.victims[i])
+			c, b, err := adversaries[j].IdentifyFeatures(w.victims[i], feats)
 			if err != nil {
 				return nil, fmt.Errorf("arms race D%d vs A%d: %w", i, j, err)
 			}

@@ -154,57 +154,116 @@ func (r *Report) Render() string {
 // Runner generates one experiment.
 type Runner func(Options) (*Report, error)
 
-// Registry returns every experiment keyed by id: the paper artifacts of
-// the DESIGN.md index plus the ablation studies (AblationIDs).
+// group is an experiment's place in the presentation order.
+type group int
+
+const (
+	// paper marks the paper artifacts of the DESIGN.md index.
+	paper group = iota
+	// ablation marks the sensitivity analyses of the design choices behind
+	// the headline results. They are not paper artifacts but document why
+	// the implementations are configured as they are.
+	ablation
+	// armsRace marks the adaptive-adversary evaluation in which attackers
+	// retrain through deployed defenses. It answers the question the
+	// paper's static threat model leaves open ("I Still See You", Wang et
+	// al.): how much protection survives an attacker that adapts?
+	armsRace
+	// fleetScale marks the population-scale studies. The paper evaluates
+	// single homes; fl1 asks what its attacks look like as a live signal —
+	// the per-capita distribution of online leakage across a heterogeneous
+	// fleet.
+	fleetScale
+)
+
+// table lists every experiment in presentation order: the paper
+// artifacts, then the ablations, the arms race and the fleet studies.
+var table = []struct {
+	id    string
+	group group
+	run   Runner
+}{
+	{"f1", paper, Figure1HomeTraces},
+	{"f2", paper, Figure2Disaggregation},
+	{"f5", paper, Figure5Localization},
+	{"f6", paper, Figure6CHPr},
+	{"t1", paper, TableNIOMAccuracy},
+	{"t2", paper, TableBehaviorInference},
+	{"t3", paper, TableSunDance},
+	{"t4", paper, TableBatteryDefense},
+	{"t5", paper, TableDifferentialPrivacy},
+	{"t6", paper, TableZKBilling},
+	{"t7", paper, TableKnobFrontier},
+	{"t8", paper, TableFingerprint},
+	{"t9", paper, TableGateway},
+	{"t10", paper, TableLocalIoT},
+	{"t11", paper, TableFitnessLocation},
+	{"t12", paper, TableStravaHeatmap},
+	{"a1", ablation, AblationNIOMDetector},
+	{"a2", ablation, AblationPowerPlay},
+	{"a3", ablation, AblationFHMMOtherChain},
+	{"a4", ablation, AblationSunSpotDataSpan},
+	{"a5", ablation, AblationWeathermanResolution},
+	{"a6", ablation, AblationShapingEnvelope},
+	{"ar1", armsRace, ArmsRaceMatrix},
+	{"fl1", fleetScale, FleetStreaming},
+}
+
+// Registry returns every experiment keyed by id.
 func Registry() map[string]Runner {
-	reg := map[string]Runner{
-		"f1":  Figure1HomeTraces,
-		"f2":  Figure2Disaggregation,
-		"f5":  Figure5Localization,
-		"f6":  Figure6CHPr,
-		"t1":  TableNIOMAccuracy,
-		"t2":  TableBehaviorInference,
-		"t3":  TableSunDance,
-		"t4":  TableBatteryDefense,
-		"t5":  TableDifferentialPrivacy,
-		"t6":  TableZKBilling,
-		"t7":  TableKnobFrontier,
-		"t8":  TableFingerprint,
-		"t9":  TableGateway,
-		"t10": TableLocalIoT,
-		"t11": TableFitnessLocation,
-		"t12": TableStravaHeatmap,
-	}
-	for id, r := range ablationRegistry() {
-		reg[id] = r
-	}
-	for id, r := range armsRaceRegistry() {
-		reg[id] = r
-	}
-	for id, r := range fleetRegistry() {
-		reg[id] = r
+	reg := make(map[string]Runner, len(table))
+	for _, e := range table {
+		reg[e.id] = e.run
 	}
 	return reg
 }
 
-// IDs returns the experiment ids in presentation order.
-func IDs() []string {
-	return []string{"f1", "f2", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12"}
+// idsOf returns the ids of one group in presentation order.
+func idsOf(g group) []string {
+	var ids []string
+	for _, e := range table {
+		if e.group == g {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
 }
 
-// AllIDs returns every registry id — the paper artifacts followed by the
-// ablations, the arms-race studies, and the fleet-scale studies — in
-// presentation order.
+// IDs returns the paper artifacts' ids in presentation order.
+func IDs() []string { return idsOf(paper) }
+
+// AblationIDs returns the ablation studies' ids.
+func AblationIDs() []string { return idsOf(ablation) }
+
+// ArmsRaceIDs returns the arms-race experiments' ids.
+func ArmsRaceIDs() []string { return idsOf(armsRace) }
+
+// FleetIDs returns the fleet-scale experiments' ids.
+func FleetIDs() []string { return idsOf(fleetScale) }
+
+// AllIDs returns every id in presentation order.
 func AllIDs() []string {
-	ids := append(IDs(), AblationIDs()...)
-	ids = append(ids, ArmsRaceIDs()...)
-	return append(ids, FleetIDs()...)
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// lookup returns the runner registered under id.
+func lookup(id string) (Runner, bool) {
+	for _, e := range table {
+		if e.id == id {
+			return e.run, true
+		}
+	}
+	return nil, false
 }
 
 // Run executes one experiment by id, containing generator panics as
 // ErrPanic errors.
 func Run(id string, opts Options) (*Report, error) {
-	r, ok := Registry()[id]
+	r, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, id)
 	}
@@ -217,7 +276,7 @@ func Run(id string, opts Options) (*Report, error) {
 // its result is discarded; the call itself returns ctx.Err() promptly.
 // An unknown id is reported before any work starts.
 func RunContext(ctx context.Context, id string, opts Options) (*Report, error) {
-	r, ok := Registry()[id]
+	r, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, id)
 	}

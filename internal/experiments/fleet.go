@@ -7,21 +7,6 @@ import (
 	"privmem/internal/seeds"
 )
 
-// FleetIDs lists the fleet-scale experiments. Like the ablations they are
-// not paper artifacts: the paper evaluates single homes, and fl1 asks what
-// its attacks look like as a population-scale live signal — the per-capita
-// distribution of online leakage across a heterogeneous fleet.
-func FleetIDs() []string {
-	return []string{"fl1"}
-}
-
-// fleetRegistry returns the fleet runners.
-func fleetRegistry() map[string]Runner {
-	return map[string]Runner{
-		"fl1": FleetStreaming,
-	}
-}
-
 // FleetStreaming (fl1) streams a heterogeneous home population through the
 // online attacks and reports each leakage signal's per-capita p50/p95/p99.
 // The fleet summary is a pure function of (seed, quick): bit-identical at

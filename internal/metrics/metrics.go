@@ -100,16 +100,6 @@ func (c Confusion) String() string {
 		c.TP, c.TN, c.FP, c.FN, c.Accuracy(), c.MCC())
 }
 
-// MCC is a convenience wrapper that builds the confusion matrix from paired
-// indicator slices and returns its Matthews Correlation Coefficient.
-func MCC(actual, predicted []float64) (float64, error) {
-	c, err := BinaryConfusion(actual, predicted)
-	if err != nil {
-		return 0, err
-	}
-	return c.MCC(), nil
-}
-
 // DisaggregationError returns the NILM tracking error factor of Figure 2:
 // the cumulative absolute difference between a device's actual and inferred
 // power, normalized by the device's total actual usage. Zero is perfect
@@ -131,37 +121,6 @@ func DisaggregationError(actual, inferred []float64) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return errSum / total, nil
-}
-
-// RMSE returns the root mean squared error between actual and predicted.
-func RMSE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("rmse: %w", ErrLengthMismatch)
-	}
-	if len(actual) == 0 {
-		return 0, nil
-	}
-	var ss float64
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(actual))), nil
-}
-
-// MAE returns the mean absolute error between actual and predicted.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("mae: %w", ErrLengthMismatch)
-	}
-	if len(actual) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for i := range actual {
-		s += math.Abs(actual[i] - predicted[i])
-	}
-	return s / float64(len(actual)), nil
 }
 
 // MAPE returns the mean absolute percentage error over samples whose actual

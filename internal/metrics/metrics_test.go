@@ -38,6 +38,12 @@ func TestBinaryConfusion(t *testing.T) {
 	}
 }
 
+// mcc scores paired indicator slices through their confusion matrix.
+func mcc(actual, predicted []float64) (float64, error) {
+	c, err := BinaryConfusion(actual, predicted)
+	return c.MCC(), err
+}
+
 func TestMCCEndpoints(t *testing.T) {
 	tests := []struct {
 		name string
@@ -52,7 +58,7 @@ func TestMCCEndpoints(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := MCC(tt.act, tt.pred)
+			got, err := mcc(tt.act, tt.pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +82,7 @@ func TestMCCRandomIsNearZero(t *testing.T) {
 			pred[i] = 1
 		}
 	}
-	got, err := MCC(act, pred)
+	got, err := mcc(act, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,25 +124,14 @@ func TestDisaggregationError(t *testing.T) {
 func TestRegressionMetrics(t *testing.T) {
 	a := []float64{1, 2, 3}
 	p := []float64{2, 2, 1}
-	if got, _ := RMSE(a, p); math.Abs(got-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %v", got)
-	}
-	if got, _ := MAE(a, p); math.Abs(got-1) > 1e-12 {
-		t.Errorf("MAE = %v", got)
-	}
 	if got, _ := MAPE(a, p); math.Abs(got-(1+0+2.0/3)/3) > 1e-12 {
 		t.Errorf("MAPE = %v", got)
 	}
 	if got, _ := MAPE([]float64{0, 0}, []float64{1, 1}); got != 0 {
 		t.Errorf("MAPE all-zero actual = %v", got)
 	}
-	if got, _ := RMSE(nil, nil); got != 0 {
-		t.Errorf("RMSE empty = %v", got)
-	}
-	for _, f := range []func([]float64, []float64) (float64, error){RMSE, MAE, MAPE} {
-		if _, err := f(a, p[:1]); !errors.Is(err, ErrLengthMismatch) {
-			t.Errorf("length mismatch error = %v", err)
-		}
+	if _, err := MAPE(a, p[:1]); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("length mismatch error = %v", err)
 	}
 }
 
@@ -193,9 +188,9 @@ func TestQuickMCCSymmetry(t *testing.T) {
 			}
 			return out
 		}
-		m, _ := MCC(act, pred)
-		mBoth, _ := MCC(flip(act), flip(pred))
-		mOne, _ := MCC(act, flip(pred))
+		m, _ := mcc(act, pred)
+		mBoth, _ := mcc(flip(act), flip(pred))
+		mOne, _ := mcc(act, flip(pred))
 		return math.Abs(m-mBoth) < 1e-12 && math.Abs(m+mOne) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -217,7 +212,7 @@ func TestQuickMCCBounded(t *testing.T) {
 				pred[i] = 1
 			}
 		}
-		m, err := MCC(act, pred)
+		m, err := mcc(act, pred)
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,6 @@
 package nettrace
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -110,8 +109,7 @@ func sameFeatures(got, want Features) error {
 // TestExtractFeaturesMatchesReference pins the one-pass ExtractFeatures to
 // the per-device reference bit for bit, at 10-minute and 1-hour windows,
 // over a capture with all three compromises, the lab capture, a shuffled
-// copy, a shuffled copy read back through ReadCapture, and records before
-// the capture start and with tied timestamps.
+// copy, and records before the capture start and with tied timestamps.
 func TestExtractFeaturesMatchesReference(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.Days = 2
@@ -144,14 +142,6 @@ func TestExtractFeaturesMatchesReference(t *testing.T) {
 	rng.Shuffle(len(shuffled.Records), func(i, j int) {
 		shuffled.Records[i], shuffled.Records[j] = shuffled.Records[j], shuffled.Records[i]
 	})
-	var buf bytes.Buffer
-	if _, err := shuffled.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	readBack, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, c := range []struct {
 		name string
@@ -161,7 +151,6 @@ func TestExtractFeaturesMatchesReference(t *testing.T) {
 		{"lab", lab},
 		{"edges", edges},
 		{"shuffled", shuffled},
-		{"read-back", readBack},
 	} {
 		for _, window := range []time.Duration{10 * time.Minute, time.Hour} {
 			want, err := referenceExtractFeatures(c.cap, window)

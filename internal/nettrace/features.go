@@ -79,8 +79,8 @@ func WindowIndex(start, t time.Time, width time.Duration) int {
 // It walks the records once in time order, keeping one open window per
 // device and closing it when that device's next record lands in a later
 // window. The dominant producers (Simulate and Shape) emit time-sorted
-// records, which are walked in place; any other capture (possible for one
-// read back via ReadCapture) is walked through a stable time-sorted index
+// records, which are walked in place; any other capture (a hand-built one
+// can be out of order) is walked through a stable time-sorted index
 // permutation. Either way each device sees its records in the order a
 // stable sort of its own records by time gives, so each window's
 // aggregates accumulate in one fixed order and the result does not depend

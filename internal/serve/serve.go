@@ -321,14 +321,24 @@ type suiteRequest struct {
 	Quick bool     `json:"quick"`
 }
 
+// maxSuiteBody bounds a POST /v1/suite body. A request naming every
+// experiment once fits in a few hundred bytes.
+const maxSuiteBody = 4 << 10
+
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	s.metrics.SuiteRequests.Add(1)
 	var req suiteRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSuiteBody))
 	dec.DisallowUnknownFields()
 	// An empty body (io.EOF) selects the all-defaults suite.
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	// Each id starts a goroutine and lengthens the deadline, so a suite may
+	// name at most as many ids as there are experiments.
+	if len(req.IDs) > len(s.known) {
+		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("%d ids, at most %d", len(req.IDs), len(s.known)))
 		return
 	}
 	ids := req.IDs

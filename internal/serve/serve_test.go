@@ -285,6 +285,43 @@ func TestSuite(t *testing.T) {
 	}
 }
 
+// TestSuiteBoundsRequest checks that POST /v1/suite refuses, with the JSON
+// 400 shape and before any generation, a list of more ids than there are
+// experiments (duplicates would otherwise start one goroutine each and
+// scale the deadline) and a body over maxSuiteBody.
+func TestSuiteBoundsRequest(t *testing.T) {
+	f := &fakeRun{}
+	_, h := newTestServer(t, Config{Run: f.run, MaxConcurrent: 2})
+	ids := make([]string, len(experiments.AllIDs())+1)
+	for i := range ids {
+		ids[i] = "f1"
+	}
+	tooMany, err := json.Marshal(map[string]any{"ids": ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooLarge := `{"ids":["f1"]` + strings.Repeat(" ", maxSuiteBody) + `}`
+	for _, c := range []struct{ name, body string }{
+		{"too many ids", string(tooMany)},
+		{"body over the cap", tooLarge},
+	} {
+		name, rec := c.name, post(t, h, "/v1/suite", c.body)
+		var shape struct {
+			Error  string `json:"error"`
+			Status int    `json:"status"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &shape); err != nil {
+			t.Fatalf("%s: body %q: %v", name, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || shape.Status != http.StatusBadRequest || shape.Error == "" {
+			t.Errorf("%s: %d %s, want the JSON 400 shape", name, rec.Code, rec.Body.String())
+		}
+	}
+	if n := f.invocations.Load(); n != 0 {
+		t.Errorf("refused suites ran %d simulations", n)
+	}
+}
+
 // TestGracefulShutdownDrains starts a real http.Server, blocks a request
 // mid-generation, initiates Shutdown, and verifies the in-flight request
 // still completes successfully before Shutdown returns.

@@ -96,15 +96,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Spearman returns the Spearman rank correlation between xs and ys: the
-// Pearson correlation of their ranks. Ties receive average ranks.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("spearman: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
 // Ranks returns the 1-based average ranks of xs.
 func Ranks(xs []float64) []float64 {
 	idx := make([]int, len(xs))
@@ -197,43 +188,4 @@ func KMeans1D(xs []float64, k int) ([]float64, error) {
 	}
 	sort.Float64s(centers)
 	return centers, nil
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]; samples
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins < 1 {
-		nbins = 1
-	}
-	counts := make([]int, nbins)
-	if hi <= lo {
-		counts[0] = len(xs)
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// Normalize returns xs shifted and scaled to zero mean, unit (population)
-// standard deviation. A zero-variance input is returned as all zeros.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m, s := Mean(xs), Std(xs)
-	if s == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
 }

@@ -74,12 +74,18 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+// TestSpearmanMonotone checks the rank-correlation law Ranks exists for:
+// Spearman's rho, Pearson over the ranks, is exactly 1 for a monotone but
+// nonlinear relation, where Pearson over the raw values is not.
 func TestSpearmanMonotone(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{1, 10, 100, 1000, 10000} // nonlinear but monotone
-	r, err := Spearman(xs, ys)
+	r, err := Pearson(Ranks(xs), Ranks(ys))
 	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Errorf("Spearman = %v, %v", r, err)
+		t.Errorf("Pearson over ranks = %v, %v", r, err)
+	}
+	if raw, _ := Pearson(xs, ys); raw > 0.9 {
+		t.Errorf("Pearson over raw values = %v, want well below 1", raw)
 	}
 }
 
@@ -149,33 +155,6 @@ func TestKMeans1D(t *testing.T) {
 	}
 	if _, err := KMeans1D(xs, 0); err == nil {
 		t.Error("k=0 should error")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{-5, 0, 1, 2, 3, 50}, 0, 4, 4)
-	want := []int{2, 1, 1, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("Histogram = %v, want %v", counts, want)
-			break
-		}
-	}
-	if got := Histogram([]float64{1, 2}, 5, 5, 3); got[0] != 2 {
-		t.Errorf("degenerate range: %v", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 2, 3})
-	if math.Abs(Mean(out)) > 1e-12 || math.Abs(Std(out)-1) > 1e-12 {
-		t.Errorf("Normalize = %v", out)
-	}
-	flat := Normalize([]float64{7, 7, 7})
-	for _, v := range flat {
-		if v != 0 {
-			t.Errorf("zero-variance Normalize = %v", flat)
-		}
 	}
 }
 

@@ -1,10 +1,8 @@
 // Package sun implements the NOAA solar-geometry equations: declination,
 // equation of time, sunrise/sunset/solar-noon times, solar position, and a
-// simple clear-sky irradiance model. It also provides the inverse solver —
-// from observed sunrise/sunset times back to latitude and longitude — which
-// is the core of the SunSpot localization attack [4]: solar generation data
-// indirectly reveals when the sun rises and sets, and those times are
-// governed by the site's coordinates.
+// simple clear-sky irradiance model. The solar simulator and the solar
+// attacks (SunSpot's forward model [4], SunDance's generation model) build
+// on it.
 //
 // Conventions: latitude in degrees north (positive), longitude in degrees
 // east (negative for the Americas), times in UTC.
@@ -93,11 +91,11 @@ func RiseSet(date time.Time, latDeg, lonDeg float64) (DayTimes, error) {
 }
 
 // Ephemeris caches the location-independent solar terms of one instant: the
-// equation of time (minutes) and the declination (radians). Position,
-// ClearSkyGHI, and PlateOutput derive everything else from these two numbers
-// plus the coordinates, so sweeps that evaluate many candidate locations at
-// the same instants — SunSpot's latitude grid, the solar fleet — can hoist
-// the trigonometry out of the location loop. The *Eph variants below accept
+// equation of time (minutes) and the declination (radians). Position and
+// PlateOutput derive everything else from these two numbers plus the
+// coordinates, so sweeps that evaluate many candidate locations at the same
+// instants — SunSpot's latitude grid, the solar fleet — can hoist the
+// trigonometry out of the location loop. The *Eph variants below accept
 // a precomputed Ephemeris and run the identical arithmetic in the identical
 // order, so hoisting is bit-transparent.
 type Ephemeris struct {
@@ -149,15 +147,6 @@ func PositionEph(t time.Time, eph Ephemeris, latDeg, lonDeg float64) (zenithDeg,
 	return zen * radToDeg, az
 }
 
-// ClearSkyGHI returns a simple clear-sky global horizontal irradiance in
-// W/m^2 at a UTC instant and location: extraterrestrial irradiance scaled by
-// an air-mass-dependent atmospheric transmittance (the Meinel model). It is
-// zero when the sun is below the horizon.
-func ClearSkyGHI(t time.Time, latDeg, lonDeg float64) float64 {
-	zen, _ := Position(t, latDeg, lonDeg)
-	return ghiFromZenith(zen)
-}
-
 // ghiFromZenith is the irradiance model given an already-computed zenith
 // angle: Kasten-Young air mass with the Meinel clear-sky transmittance,
 // GHI = 1353 * 0.7^(AM^0.678) * cos(zenith).
@@ -168,96 +157,6 @@ func ghiFromZenith(zen float64) float64 {
 	cosZen := math.Cos(zen * degToRad)
 	airMass := 1 / (cosZen + 0.50572*math.Pow(96.07995-zen, -1.6364))
 	return 1353 * math.Pow(0.7, math.Pow(airMass, 0.678)) * cosZen
-}
-
-// InverseRiseSet recovers latitude and longitude from observed sunrise and
-// sunset times (UTC minutes after midnight) on a given date — the SunSpot
-// inversion. Longitude follows from solar noon (the midpoint) and the
-// equation of time; latitude is solved from the day length.
-//
-// Within a few days of an equinox the day length is symmetric in latitude,
-// so two latitudes can match; this function returns the northern candidate.
-// Use InverseRiseSetNear with a hint to disambiguate.
-func InverseRiseSet(date time.Time, sunriseMin, sunsetMin float64) (latDeg, lonDeg float64, err error) {
-	return InverseRiseSetNear(date, sunriseMin, sunsetMin, math.NaN())
-}
-
-// InverseRiseSetNear is InverseRiseSet with a latitude hint: when the day
-// length admits more than one latitude (near the equinoxes), the root
-// closest to latHintDeg is returned. A NaN hint selects the northernmost
-// root.
-func InverseRiseSetNear(date time.Time, sunriseMin, sunsetMin, latHintDeg float64) (latDeg, lonDeg float64, err error) {
-	if sunsetMin <= sunriseMin {
-		return 0, 0, fmt.Errorf("%w: sunset %.1f before sunrise %.1f", ErrBadInput, sunsetMin, sunriseMin)
-	}
-	noonUTC := time.Date(date.Year(), date.Month(), date.Day(), 12, 0, 0, 0, time.UTC)
-	eq := EquationOfTime(noonUTC)
-	decl := Declination(noonUTC) * degToRad
-
-	noon := (sunriseMin + sunsetMin) / 2
-	lonDeg = (720 - eq - noon) / 4
-
-	// Day length determines the half-day hour angle (4 minutes per degree);
-	// latitude then follows from the sunrise equation.
-	haDeg := (sunsetMin - sunriseMin) / 2 / 4
-	target := math.Cos(haDeg * degToRad)
-	f := func(latRad float64) float64 {
-		return math.Cos(zenithSunrise*degToRad)/(math.Cos(latRad)*math.Cos(decl)) -
-			math.Tan(latRad)*math.Tan(decl) - target
-	}
-
-	// Scan for every bracketing interval and refine each root by bisection.
-	// Near the equinoxes f may not change sign at all; then the latitude of
-	// minimum inconsistency is the best estimate (callers such as SunSpot
-	// average estimates over many days, which suppresses the noise).
-	const latLimit = 66.0
-	const scanStep = 0.5
-	var roots []float64
-	bestScan, bestAbs := 0.0, math.Inf(1)
-	prevLat := -latLimit
-	prevF := f(prevLat * degToRad)
-	for latScan := -latLimit + scanStep; latScan <= latLimit+1e-9; latScan += scanStep {
-		cur := f(latScan * degToRad)
-		if a := math.Abs(cur); a < bestAbs {
-			bestAbs, bestScan = a, latScan
-		}
-		if prevF*cur <= 0 {
-			roots = append(roots, bisectLat(f, prevLat*degToRad, latScan*degToRad))
-		}
-		prevLat, prevF = latScan, cur
-	}
-	if len(roots) == 0 {
-		return bestScan, lonDeg, nil
-	}
-	chosen := roots[len(roots)-1] // northernmost by scan order
-	if !math.IsNaN(latHintDeg) {
-		for _, r := range roots {
-			if math.Abs(r-latHintDeg) < math.Abs(chosen-latHintDeg) {
-				chosen = r
-			}
-		}
-	}
-	return chosen, lonDeg, nil
-}
-
-// bisectLat refines a root of f (in radians) bracketed by [lo, hi] and
-// returns it in degrees.
-func bisectLat(f func(float64) float64, lo, hi float64) float64 {
-	flo := f(lo)
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		fm := f(mid)
-		if fm == 0 {
-			return mid * radToDeg
-		}
-		if flo*fm < 0 {
-			hi = mid
-		} else {
-			lo = mid
-			flo = fm
-		}
-	}
-	return (lo + hi) / 2 * radToDeg
 }
 
 // PlateOutput returns the relative clear-sky output (W/m^2-scale) of a
@@ -272,9 +171,7 @@ func PlateOutput(t time.Time, latDeg, lonDeg, tiltDeg, azimuthDeg, diffuseFrac f
 
 // PlateOutputEph is PlateOutput with the instant's ephemeris terms
 // precomputed. The zenith is computed once and feeds both the irradiance
-// model and the incidence geometry (PlateOutput formerly solved the solar
-// position twice, once directly and once inside ClearSkyGHI; the two calls
-// were bit-identical, so sharing the result is a pure speedup).
+// model and the incidence geometry.
 func PlateOutputEph(t time.Time, eph Ephemeris, latDeg, lonDeg, tiltDeg, azimuthDeg, diffuseFrac float64) float64 {
 	zen, az := PositionEph(t, eph, latDeg, lonDeg)
 	if zen >= 90 {

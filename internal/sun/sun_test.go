@@ -3,7 +3,6 @@ package sun
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -128,109 +127,28 @@ func TestPositionMorningEastEveningWest(t *testing.T) {
 	}
 }
 
+// TestClearSkyGHI checks the clear-sky irradiance model PlateOutput builds
+// on: a plausible noon peak, zero below the horizon, and a decrease away
+// from noon.
 func TestClearSkyGHI(t *testing.T) {
 	const lat, lon = 40.0, -75.0
+	ghi := func(at time.Time) float64 {
+		zen, _ := Position(at, lat, lon)
+		return ghiFromZenith(zen)
+	}
 	dt, _ := RiseSet(summer, lat, lon)
 	noon := summer.Add(time.Duration(dt.NoonMin * float64(time.Minute)))
-	peak := ClearSkyGHI(noon, lat, lon)
+	peak := ghi(noon)
 	if peak < 700 || peak > 1100 {
 		t.Errorf("clear-sky noon GHI = %.0f W/m^2, want 700-1100", peak)
 	}
 	night := summer.Add(time.Duration((dt.SunriseMin - 90) * float64(time.Minute)))
-	if g := ClearSkyGHI(night, lat, lon); g != 0 {
+	if g := ghi(night); g != 0 {
 		t.Errorf("pre-dawn GHI = %v, want 0", g)
 	}
 	// Monotone decrease away from noon.
 	afternoon := noon.Add(3 * time.Hour)
-	if g := ClearSkyGHI(afternoon, lat, lon); g >= peak {
+	if g := ghi(afternoon); g >= peak {
 		t.Errorf("afternoon GHI %.0f >= noon %.0f", g, peak)
-	}
-}
-
-func TestInverseRiseSetRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	dates := []time.Time{summer, winter, equinx,
-		time.Date(2017, 9, 2, 0, 0, 0, 0, time.UTC)}
-	for trial := 0; trial < 60; trial++ {
-		lat := -55 + 110*rng.Float64()
-		lon := -179 + 358*rng.Float64()
-		date := dates[trial%len(dates)]
-		dt, err := RiseSet(date, lat, lon)
-		if errors.Is(err, ErrPolar) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLat, gotLon, err := InverseRiseSetNear(date, dt.SunriseMin, dt.SunsetMin, lat)
-		if err != nil {
-			t.Fatalf("inverse failed for lat=%.2f lon=%.2f: %v", lat, lon, err)
-		}
-		if math.Abs(gotLat-lat) > 0.05 {
-			t.Errorf("lat round trip: %.3f -> %.3f (date %s)", lat, gotLat, date.Format("Jan 2"))
-		}
-		if math.Abs(gotLon-lon) > 0.05 {
-			t.Errorf("lon round trip: %.3f -> %.3f", lon, gotLon)
-		}
-	}
-}
-
-// Without a hint the inverse may land on the mirror latitude near an
-// equinox, but it must always satisfy the root property: feeding the
-// recovered coordinates forward reproduces the observed times.
-func TestInverseRiseSetRootProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
-		lat := -55 + 110*rng.Float64()
-		lon := -120 + 240*rng.Float64()
-		date := equinx.AddDate(0, 0, trial%7-3) // cluster around the equinox
-		dt, err := RiseSet(date, lat, lon)
-		if errors.Is(err, ErrPolar) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLat, gotLon, err := InverseRiseSet(date, dt.SunriseMin, dt.SunsetMin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := RiseSet(date, gotLat, gotLon)
-		if err != nil {
-			t.Fatalf("forward on recovered coords (%.2f, %.2f): %v", gotLat, gotLon, err)
-		}
-		if math.Abs(back.SunriseMin-dt.SunriseMin) > 1.5 ||
-			math.Abs(back.SunsetMin-dt.SunsetMin) > 1.5 {
-			t.Errorf("root property violated: (%.2f,%.2f)->(%.2f,%.2f), sunrise %.1f->%.1f",
-				lat, lon, gotLat, gotLon, dt.SunriseMin, back.SunriseMin)
-		}
-	}
-}
-
-func TestInverseRiseSetNearEquinoxLatitudeIsIllConditioned(t *testing.T) {
-	// At the exact equinox every latitude has a ~12 h day, so small timing
-	// noise produces large latitude error — the inverse must still return
-	// without error (SunSpot averages over many days to handle this).
-	dt, err := RiseSet(equinx, 42, -72)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := InverseRiseSet(equinx, dt.SunriseMin, dt.SunsetMin); err != nil {
-		t.Errorf("equinox inversion error: %v", err)
-	}
-}
-
-func TestInverseRiseSetValidation(t *testing.T) {
-	if _, _, err := InverseRiseSet(summer, 800, 700); !errors.Is(err, ErrBadInput) {
-		t.Errorf("sunset before sunrise error = %v", err)
-	}
-	// An absurd 23.9-hour day cannot error (SunSpot feeds noisy estimates);
-	// it must instead return a clamped best-fit latitude.
-	lat, _, err := InverseRiseSet(summer, 1, 1435)
-	if err != nil {
-		t.Errorf("extreme day length should degrade gracefully, got %v", err)
-	}
-	if lat < 40 || lat > 66 {
-		t.Errorf("absurd-long June day best-fit lat = %.1f, want high northern", lat)
 	}
 }

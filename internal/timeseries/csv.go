@@ -9,8 +9,8 @@ import (
 )
 
 // WriteCSV serializes the series as two-column CSV (RFC 3339 timestamp,
-// value), with a header row. The format round-trips through ReadCSV and
-// loads directly into spreadsheet and plotting tools.
+// value), with a header row. The format loads directly into spreadsheet and
+// plotting tools.
 func (s *Series) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"timestamp", "value"}); err != nil {
@@ -30,62 +30,4 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("timeseries csv: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV parses a series written by WriteCSV. The timestamps must be
-// uniformly spaced; the step is inferred from the first two rows. A
-// single-row file has no inferable step and falls back to one minute.
-func ReadCSV(r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("timeseries csv: header: %w", err)
-	}
-	if header[0] != "timestamp" || header[1] != "value" {
-		return nil, fmt.Errorf("timeseries csv: unexpected header %v", header)
-	}
-	var (
-		times  []time.Time
-		values []float64
-	)
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("timeseries csv: row %d: %w", row, err)
-		}
-		t, err := time.Parse(time.RFC3339, rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("timeseries csv: row %d: %w", row, err)
-		}
-		v, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries csv: row %d: %w", row, err)
-		}
-		times = append(times, t)
-		values = append(values, v)
-	}
-	if len(times) == 0 {
-		return nil, fmt.Errorf("timeseries csv: %w", ErrEmpty)
-	}
-	if len(times) == 1 {
-		return FromValues(times[0], time.Minute, values)
-	}
-	step := times[1].Sub(times[0])
-	if step <= 0 {
-		return nil, fmt.Errorf("timeseries csv: %w: non-increasing timestamps", ErrBadStep)
-	}
-	// Uniformity is checked by reconstruction (Add) rather than by comparing
-	// Sub results: Sub saturates at ±292 years, so two huge gaps would
-	// compare equal even when they differ, silently corrupting the step.
-	for i := 1; i < len(times); i++ {
-		if !times[i].Equal(times[i-1].Add(step)) {
-			return nil, fmt.Errorf("timeseries csv: row %d: non-uniform step (%v vs %v)",
-				i+1, times[i].Sub(times[i-1]), step)
-		}
-	}
-	return FromValues(times[0], step, values)
 }

@@ -157,12 +157,6 @@ func NewField(cfg FieldConfig, start time.Time, steps int, refLat float64) (*Fie
 // Start returns the field's first instant.
 func (f *Field) Start() time.Time { return f.start }
 
-// Steps returns the number of time steps realized.
-func (f *Field) Steps() int { return f.steps }
-
-// TimeStep returns the field's temporal resolution.
-func (f *Field) TimeStep() time.Duration { return f.cfg.TimeStep }
-
 // Point is the field bound to one location. The spatial phase of every
 // mode depends only on the location, so it is computed once here and each
 // instant costs one weighted sum over the modes.
