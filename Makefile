@@ -3,7 +3,7 @@
 # privmemvet analyzer suite (lint), build, the full test suite under the race
 # detector (the RunAll and serve concurrency tests only count as coverage
 # when raced), the per-package coverage floors, a fuzz smoke of the fleet
-# mix parser, and the memoird smoke test (random port, /healthz + report
+# mix parser and of the store's envelope decoder, and the memoird smoke test (random port, /healthz + report
 # probes, cache-hit verification, clean shutdown).
 
 GO ?= go
@@ -47,10 +47,14 @@ bin/privmemvet: $(PRIVMEMVET_SRC)
 # cmd/privmemvet): determinism (detrand, maporder, the interprocedural
 # deterministic certifier), seeding discipline (seedflow), lock scope
 # (mutexscope), error paths (errpath), discarded pure results (purecall),
-# and the concurrency checks (poolescape, atomicmix, floatorder). A finding
-# fails the gate unless the line carries a reasoned `//lint:allow <analyzer>
-# <reason>` (or, for a whole intentionally-impure subtree, `//lint:trust
-# <func> <reason>` in its doc comment) — see DESIGN.md §8 and §13.
+# the concurrency checks (poolescape, atomicmix, floatorder), and the
+# whole-program deadexport check, which also loads perfbench and flags
+# internal/ exports only tests reference. Packages are type-checked from
+# source against standard-library export data from `go list -export`. A
+# finding fails the gate unless the line carries a reasoned `//lint:allow
+# <analyzer> <reason>` (or, for a whole intentionally-impure subtree,
+# `//lint:trust <func> <reason>` in its doc comment) — see DESIGN.md §8
+# and §13.
 lint: bin/privmemvet
 	./bin/privmemvet ./...
 
@@ -110,12 +114,15 @@ cover-cmd:
 		fi; \
 	done
 
-# fuzz runs the fleet mix parser's native fuzz target for FUZZTIME against
-# the checked-in corpus under internal/fleet/testdata/fuzz/. Any crasher is
-# written back there as a failing seed, so a red `make fuzz` leaves a
+# fuzz runs the native fuzz targets of the two parsers of untrusted input,
+# each for FUZZTIME: the fleet mix parser (against the checked-in corpus
+# under internal/fleet/testdata/fuzz/), then the store's envelope decoder,
+# the only reader of on-disk bytes. Any crasher is written back under the
+# package's testdata/fuzz/ as a failing seed, so a red `make fuzz` leaves a
 # reproducer behind.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreEntry$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -258,8 +258,12 @@ func cmdFleet(seed int64, homes, workers, days int, mix string, quick bool) erro
 		return err
 	}
 	elapsed := time.Since(startAt)
+	// Collect the run's garbage so the delta counts only what the Result
+	// keeps live.
 	var after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(res)
 
 	if err := res.Render(os.Stdout); err != nil {
 		return err

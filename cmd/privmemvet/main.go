@@ -24,7 +24,11 @@
 // When the loaded universe contains privmem/internal/experiments (the
 // ./... gate invocation does), the interprocedural deterministic certifier
 // (internal/analysis/determ) additionally verifies every experiment
-// builder transitively avoids impurity sinks; see DESIGN.md §13.
+// builder transitively avoids impurity sinks; see DESIGN.md §13. When
+// ./... is linted at the module root, the whole-program deadexport check
+// also loads perfbench and flags each exported internal/ declaration only
+// tests reference. Module packages are type-checked from source, against
+// `go list -export` data for the standard library and other modules.
 //
 // A finding is suppressed only by a written-reason comment on or above the
 // offending line:
@@ -44,14 +48,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"privmem/internal/analysis"
 	"privmem/internal/analysis/atomicmix"
+	"privmem/internal/analysis/deadexport"
 	"privmem/internal/analysis/determ"
 	"privmem/internal/analysis/detrand"
 	"privmem/internal/analysis/errpath"
@@ -61,6 +64,7 @@ import (
 	"privmem/internal/analysis/poolescape"
 	"privmem/internal/analysis/purecall"
 	"privmem/internal/analysis/seedflow"
+	"privmem/internal/par"
 )
 
 // scoped pairs an analyzer with the import-path predicate selecting the
@@ -136,6 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-13s %s\n              scope: %s\n", "deterministic",
 			"interprocedural certifier: experiment builders transitively avoid impurity sinks",
 			"module-wide, when the universe includes internal/experiments")
+		fmt.Fprintf(stdout, "%-13s %s\n              scope: %s\n", deadexport.Name, deadexport.Doc,
+			"internal/* minus invariant, analysis/antest; when ./... is linted at the root, with perfbench")
 		return 0
 	}
 	patterns := fs.Args()
@@ -183,64 +189,62 @@ type result struct {
 // Ad-hoc file packages (go list's command-line-arguments) get the full
 // suite: they exist to demonstrate analyzers firing. When the loaded
 // universe includes the experiments package, the interprocedural
-// deterministic certifier runs over the whole universe afterward.
+// deterministic certifier runs over the whole universe afterward; when
+// ./... is linted at the module root, so does deadexport, with perfbench
+// loaded beside it.
 func vet(dir string, patterns []string, checks []scoped) (*result, error) {
 	pkgs, err := analysis.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	res := &result{timings: map[string]time.Duration{}}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-		sem      = make(chan struct{}, runtime.GOMAXPROCS(0))
-	)
-	for _, pkg := range pkgs {
+	diags := make([][]analysis.Diagnostic, len(pkgs))
+	timings := make([]map[string]time.Duration, len(pkgs))
+	err = par.For(len(pkgs), func(i int) error {
 		var active []*analysis.Analyzer
 		for _, c := range checks {
-			if pkg.ImportPath == "command-line-arguments" || c.applies(pkg.ImportPath) {
+			if pkgs[i].ImportPath == "command-line-arguments" || c.applies(pkgs[i].ImportPath) {
 				active = append(active, c.analyzer)
 			}
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pkg *analysis.Package, active []*analysis.Analyzer) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			diags, timings, err := analysis.RunAnalyzersDetailed(pkg, active)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			res.diags = append(res.diags, diags...)
-			for name, d := range timings {
-				res.timings[name] += d
-			}
-		}(pkg, active)
+		var err error
+		diags[i], timings[i], err = analysis.RunAnalyzersDetailed(pkgs[i], active)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	certify := false
-	for _, pkg := range pkgs {
-		if pkg.ImportPath == "privmem/internal/experiments" {
-			certify = true
-			break
+	res := &result{timings: map[string]time.Duration{}}
+	for i := range pkgs {
+		res.diags = append(res.diags, diags[i]...)
+		for name, d := range timings[i] {
+			res.timings[name] += d
 		}
 	}
-	if certify {
+	if findPackage(pkgs, "privmem/internal/experiments") != nil {
 		start := time.Now()
 		res.diags = append(res.diags, determ.Certify(pkgs)...)
 		res.timings["deterministic"] = time.Since(start)
 	}
+	if facade := findPackage(pkgs, "privmem"); facade != nil && len(patterns) == 1 && patterns[0] == "./..." {
+		second, err := analysis.Load(filepath.Join(facade.Dir, "perfbench"), patterns)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		res.diags = append(res.diags, deadexport.Check("privmem", pkgs, second)...)
+		res.timings[deadexport.Name] = time.Since(start)
+	}
 	analysis.SortDiagnostics(res.diags)
 	return res, nil
+}
+
+func findPackage(pkgs []*analysis.Package, path string) *analysis.Package {
+	for _, pkg := range pkgs {
+		if pkg.ImportPath == path {
+			return pkg
+		}
+	}
+	return nil
 }
 
 // jsonDiag is the structured-output shape. Paths are relative to the

@@ -30,7 +30,7 @@ func TestListPrintsInventory(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"detrand", "seedflow", "maporder", "mutexscope", "errpath", "purecall", "poolescape", "atomicmix", "floatorder"} {
+	for _, name := range []string{"detrand", "seedflow", "maporder", "mutexscope", "errpath", "purecall", "poolescape", "atomicmix", "floatorder", "deterministic", "deadexport"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

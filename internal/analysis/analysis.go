@@ -55,8 +55,8 @@ type Diagnostic struct {
 	Message  string
 	// Suppressed marks a finding silenced by a well-formed //lint:allow
 	// directive; Reason carries the directive's written justification.
-	// RunAnalyzers drops suppressed findings; RunAnalyzersDetailed keeps
-	// them so structured output can expose the full allow inventory.
+	// Suppressed findings are kept so structured output can expose the
+	// full allow inventory.
 	Suppressed bool
 	Reason     string
 }
@@ -75,30 +75,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers applies each analyzer to pkg and returns the surviving
-// diagnostics: findings suppressed by a well-formed //lint:allow comment
-// are dropped, while malformed suppressions (missing reason, unknown
-// analyzer name) are themselves reported. Diagnostics are sorted by
-// position so output is stable across runs.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	all, _, err := RunAnalyzersDetailed(pkg, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	kept := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
-// RunAnalyzersDetailed is RunAnalyzers without the suppression filter:
-// suppressed findings are returned too, marked Suppressed with their allow
-// reason attached. The second result maps each analyzer name (plus the
-// "lintallow" pseudo-analyzer, at zero cost) to its cumulative run time in
-// this package — the raw material for `privmemvet -stats`.
+// RunAnalyzersDetailed applies each analyzer to pkg and returns every
+// diagnostic, sorted by position so output is stable across runs. Findings
+// a well-formed //lint:allow comment silences come back marked Suppressed
+// with the allow's reason attached; malformed allows (missing analyzer
+// name or reason) are themselves reported. The second result maps each
+// analyzer name to its cumulative run time in this package — the raw
+// material for `privmemvet -stats`.
 func RunAnalyzersDetailed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration, error) {
 	var diags []Diagnostic
 	timings := make(map[string]time.Duration, len(analyzers))

@@ -24,11 +24,8 @@ package antest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -51,16 +48,27 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("antest: loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
+	diags, _, err := analysis.RunAnalyzersDetailed(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("antest: running %s on %s: %v", a.Name, dir, err)
 	}
 
-	wants := collectWants(t, pkg)
+	Expect(t, []*analysis.Package{pkg}, diags)
+}
+
+// Expect checks diags, as a whole-program check returned them over pkgs,
+// against the // want expectations in pkgs' files. Suppressed diagnostics
+// count as absent, exactly as the driver prints them.
+func Expect(t *testing.T, pkgs []*analysis.Package, diags []analysis.Diagnostic) {
+	t.Helper()
+	wants := collectWants(t, pkgs)
 
 	// Match each diagnostic against the want expectation on its line.
 	matched := map[*want]bool{}
 	for _, d := range diags {
+		if d.Suppressed {
+			continue
+		}
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		w := wants[key]
 		switch {
@@ -91,27 +99,29 @@ type want struct {
 
 // collectWants scans fixture comments for // want expectations, keyed by
 // file:line.
-func collectWants(t *testing.T, pkg *analysis.Package) map[string]*want {
+func collectWants(t *testing.T, pkgs []*analysis.Package) map[string]*want {
 	t.Helper()
 	wants := map[string]*want{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					expr := m[1]
+					if expr == "" {
+						expr = m[2]
+					}
+					re, err := regexp.Compile(expr)
+					if err != nil {
+						t.Fatalf("antest: bad want regexp %q: %v", expr, err)
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+					wants[key] = &want{at: key, re: re}
 				}
-				expr := m[1]
-				if expr == "" {
-					expr = m[2]
-				}
-				re, err := regexp.Compile(expr)
-				if err != nil {
-					t.Fatalf("antest: bad want regexp %q: %v", expr, err)
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				wants[key] = &want{at: key, re: re}
 			}
 		}
 	}
@@ -125,42 +135,15 @@ func loadFixture(dir string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Instances:  map[*ast.Ident]types.Instance{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	path := filepath.Base(dir)
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
-	}
-	return &analysis.Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	fset := token.NewFileSet()
+	return analysis.CheckFiles(fset, importer.ForCompiler(fset, "gc", nil), dir, filepath.Base(dir), names)
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,19 +33,22 @@ type Package struct {
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath    string
-	Dir           string
-	Name          string
-	GoFiles       []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Imports       []string
-	TestImports   []string
-	XTestImports  []string
-	Standard      bool
-	Incomplete    bool
-	Error         *struct{ Err string }
-	InvalidGoFile string
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	ForTest      string
+	Export       string
+	DepOnly      bool
+	Module       *struct{ Main bool }
+	Error        *struct{ Err string }
+}
+
+// testVariant reports whether lp is one of the test variants or test
+// mains `go list -test` adds beside the packages proper.
+func (lp *listedPackage) testVariant() bool {
+	return lp.ForTest != "" || strings.HasSuffix(lp.ImportPath, ".test")
 }
 
 // Load type-checks the packages matching patterns, which may be either
@@ -53,82 +56,73 @@ type listedPackage struct {
 // (an ad-hoc package, as `go vet file.go` accepts). dir is any directory
 // inside the module; the loader resolves the module root itself, so tests
 // running in a package directory and `make lint` running at the root see
-// the same universe. Every package in the module is loaded so that
-// intra-module imports — including ones reachable only from test files —
-// resolve without consulting the network; standard-library imports are
-// type-checked from $GOROOT/src by the compiler's source importer.
+// the same universe. Every package of the main module is type-checked
+// from source, so intra-module imports (including ones reachable only
+// from test files) resolve to the same packages the analyzers see.
+// Everything else — the standard library and any other module's packages
+// (vendored, or replaced, as perfbench sees privmem) — is imported from
+// the compiler export data one `go list -deps -test -export` call names.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	// The source importer consults go/build's default context. Cgo never
-	// appears in this module and half-configured cgo environments make the
-	// importer shell out; pin it off for reproducible loads.
-	build.Default.CgoEnabled = false
-
 	root, err := moduleRoot(dir)
 	if err != nil {
 		return nil, err
 	}
-
-	universe, err := goList(root, []string{"./..."})
-	if err != nil {
-		return nil, err
-	}
-	byPath := make(map[string]*listedPackage, len(universe))
-	for _, lp := range universe {
-		byPath[lp.ImportPath] = lp
-	}
-
 	var fileArgs, pathPatterns []string
 	for _, p := range patterns {
-		if strings.HasSuffix(p, ".go") {
-			// File args are relative to the caller's dir, which may not be
-			// the module root the go tool will run in; absolutize them.
-			if !filepath.IsAbs(p) {
-				abs, err := filepath.Abs(filepath.Join(dir, p))
-				if err != nil {
-					return nil, err
-				}
-				p = abs
-			}
-			fileArgs = append(fileArgs, p)
-		} else {
+		if !strings.HasSuffix(p, ".go") {
 			pathPatterns = append(pathPatterns, p)
+			continue
 		}
+		// File args are relative to the caller's dir, which may not be
+		// the module root the go tool will run in; absolutize them.
+		if !filepath.IsAbs(p) {
+			p = filepath.Join(dir, p)
+		}
+		abs, err := filepath.Abs(p)
+		if err != nil {
+			return nil, err
+		}
+		fileArgs = append(fileArgs, abs)
 	}
 	if len(fileArgs) > 0 && len(pathPatterns) > 0 {
 		return nil, fmt.Errorf("analysis: cannot mix .go file arguments with package patterns")
 	}
 
-	var targets []*listedPackage
-	if len(fileArgs) > 0 {
-		adhoc, err := goList(root, fileArgs)
-		if err != nil {
-			return nil, err
-		}
-		targets = adhoc
-	} else {
-		matched, err := goList(root, pathPatterns)
-		if err != nil {
-			return nil, err
-		}
-		for _, lp := range matched {
-			if canonical, ok := byPath[lp.ImportPath]; ok {
-				targets = append(targets, canonical)
-			} else {
-				targets = append(targets, lp)
-			}
-		}
+	universe, err := goList(root, "-deps", "-test", "-export", "./...")
+	if err != nil {
+		return nil, err
 	}
-
+	matched := universe
+	if len(fileArgs) > 0 {
+		// An ad-hoc file may import standard packages the module does not.
+		matched, err = goList(root, append([]string{"-deps", "-export"}, fileArgs...)...)
+	} else if len(pathPatterns) != 1 || pathPatterns[0] != "./..." {
+		matched, err = goList(root, pathPatterns...)
+	}
+	if err != nil {
+		return nil, err
+	}
 	ld := &loader{
 		fset:    token.NewFileSet(),
-		root:    root,
-		byPath:  byPath,
-		checked: map[string]*checkedPackage{},
+		byPath:  map[string]*listedPackage{},
+		exports: map[string]string{},
+		checked: map[string]*Package{},
 	}
-	ld.std = importer.ForCompiler(ld.fset, "source", nil)
+	for _, lp := range append(universe, matched...) {
+		switch {
+		case lp.Module != nil && lp.Module.Main && !lp.testVariant():
+			ld.byPath[lp.ImportPath] = lp
+		case lp.Export != "":
+			ld.exports[lp.ImportPath] = lp.Export
+		}
+	}
+	ld.export = importer.ForCompiler(ld.fset, "gc", ld.openExport)
 
 	var out []*Package
-	for _, lp := range targets {
+	for _, lp := range matched {
+		if lp.DepOnly || lp.testVariant() {
+			continue
+		}
 		pkgs, err := ld.check(lp)
 		if err != nil {
 			return nil, err
@@ -156,8 +150,9 @@ func moduleRoot(dir string) (string, error) {
 	return filepath.Dir(gomod), nil
 }
 
-// goList runs `go list -json` and decodes the streamed package objects.
-func goList(dir string, args []string) ([]*listedPackage, error) {
+// goList runs `go list -json` with args and decodes the streamed package
+// objects.
+func goList(dir string, args ...string) ([]*listedPackage, error) {
 	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -181,17 +176,12 @@ func goList(dir string, args []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-type checkedPackage struct {
-	pkg      *Package // the plain package: GoFiles only, what importers see
-	checking bool     // cycle guard
-}
-
 type loader struct {
 	fset    *token.FileSet
-	root    string
-	byPath  map[string]*listedPackage
-	checked map[string]*checkedPackage
-	std     types.Importer
+	byPath  map[string]*listedPackage // main-module packages, checked from source
+	exports map[string]string         // every other package's export data file
+	checked map[string]*Package       // plain packages; nil while one is being checked
+	export  types.Importer
 }
 
 // check returns the analyzable Package values for lp: the test-augmented
@@ -201,142 +191,67 @@ type loader struct {
 // breaks the classic augmentation cycle: meter's tests may import a
 // package that imports plain meter.
 func (ld *loader) check(lp *listedPackage) ([]*Package, error) {
-	cp, err := ld.checkPath(lp)
+	pkg, err := ld.plain(lp)
 	if err != nil {
 		return nil, err
 	}
-
-	// Every test-only intra-module dependency must be checked (plain)
-	// before the augmented and xtest variants typecheck.
-	for _, imp := range append(append([]string{}, lp.TestImports...), lp.XTestImports...) {
-		if dep, ok := ld.byPath[imp]; ok && dep.ImportPath != lp.ImportPath {
-			if _, err := ld.checkPath(dep); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	analyzed := cp.pkg
 	if len(lp.TestGoFiles) > 0 {
-		files, err := ld.parse(lp.Dir, append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...))
+		pkg, err = CheckFiles(ld.fset, ld, lp.Dir, lp.ImportPath, append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...))
 		if err != nil {
 			return nil, err
-		}
-		tpkg, info, err := ld.typecheck(lp.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		analyzed = &Package{
-			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			Fset:       ld.fset,
-			Files:      files,
-			Types:      tpkg,
-			Info:       info,
 		}
 	}
-	out := []*Package{analyzed}
-
+	out := []*Package{pkg}
 	if len(lp.XTestGoFiles) > 0 {
-		xfiles, err := ld.parse(lp.Dir, lp.XTestGoFiles)
+		xpkg, err := CheckFiles(ld.fset, ld, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
-		xpkg, xinfo, err := ld.typecheck(lp.ImportPath+"_test", xfiles)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &Package{
-			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			Fset:       ld.fset,
-			Files:      xfiles,
-			Types:      xpkg,
-			Info:       xinfo,
-		})
+		xpkg.ImportPath = lp.ImportPath
+		out = append(out, xpkg)
 	}
 	return out, nil
 }
 
-// checkPath type-checks the plain (test-free) package at lp and its plain
-// intra-module dependencies, memoized per import path.
-func (ld *loader) checkPath(lp *listedPackage) (*checkedPackage, error) {
-	if cp, ok := ld.checked[lp.ImportPath]; ok {
-		if cp.checking {
+// plain type-checks the plain (test-free) package at lp, memoized per
+// import path. Its intra-module imports are checked on demand through
+// Import.
+func (ld *loader) plain(lp *listedPackage) (*Package, error) {
+	if pkg, ok := ld.checked[lp.ImportPath]; ok {
+		if pkg == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %s", lp.ImportPath)
 		}
-		return cp, nil
+		return pkg, nil
 	}
-	cp := &checkedPackage{checking: true}
-	ld.checked[lp.ImportPath] = cp
-
-	for _, imp := range lp.Imports {
-		if dep, ok := ld.byPath[imp]; ok && dep.ImportPath != lp.ImportPath {
-			if _, err := ld.checkPath(dep); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// A test-only directory (nothing but _test.go files) lists with no
-	// GoFiles; synthesize an empty plain package so importers of the
-	// augmented variant and the universe walk both stay total.
-	if len(lp.GoFiles) == 0 {
-		name := lp.Name
-		if name == "" {
-			name = filepath.Base(lp.Dir)
-		}
-		tpkg := types.NewPackage(lp.ImportPath, name)
-		tpkg.MarkComplete()
-		cp.pkg = &Package{
-			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			Fset:       ld.fset,
-			Types:      tpkg,
-			Info:       emptyInfo(),
-		}
-		cp.checking = false
-		return cp, nil
-	}
-
-	files, err := ld.parse(lp.Dir, lp.GoFiles)
+	ld.checked[lp.ImportPath] = nil
+	pkg, err := CheckFiles(ld.fset, ld, lp.Dir, lp.ImportPath, lp.GoFiles)
 	if err != nil {
 		return nil, err
 	}
-	tpkg, info, err := ld.typecheck(lp.ImportPath, files)
-	if err != nil {
-		return nil, err
-	}
-	cp.pkg = &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Fset:       ld.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	cp.checking = false
-	return cp, nil
+	ld.checked[lp.ImportPath] = pkg
+	return pkg, nil
 }
 
-func (ld *loader) parse(dir string, names []string) ([]*ast.File, error) {
+// CheckFiles parses the named files of dir and type-checks them as the
+// package path, resolving imports through imp.
+func CheckFiles(fset *token.FileSet, imp types.Importer, dir, path string, names []string) (*Package, error) {
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(ld.fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	return files, nil
+	tpkg, info, err := typecheck(fset, imp, path, files)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{ImportPath: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-func emptyInfo() *types.Info {
-	return &types.Info{
+func typecheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Instances:  map[*ast.Ident]types.Instance{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -345,61 +260,34 @@ func emptyInfo() *types.Info {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-}
-
-func (ld *loader) typecheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := emptyInfo()
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	return tpkg, info, nil
 }
 
-// Import implements types.Importer: module-internal packages come from the
-// already-checked map; everything else (the standard library) defers to
-// the compiler's source importer.
+// Import implements types.Importer: main-module packages are checked from
+// source; everything else comes from its export data.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, "", 0)
+	lp, ok := ld.byPath[path]
+	if !ok {
+		return ld.export.Import(path)
+	}
+	pkg, err := ld.plain(lp)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
-// ImportFrom implements types.ImporterFrom so vendored-in-GOROOT paths
-// resolve correctly inside standard-library packages.
-func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if cp, ok := ld.checked[path]; ok {
-		if cp.checking || cp.pkg == nil {
-			return nil, fmt.Errorf("analysis: import cycle through %s", path)
-		}
-		return cp.pkg.Types, nil
+// openExport is the export importer's lookup: it opens the export data
+// file `go list -export` named for path.
+func (ld *loader) openExport(path string) (io.ReadCloser, error) {
+	file, ok := ld.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("analysis: no export data for %s", path)
 	}
-	if lp, ok := ld.byPath[path]; ok {
-		cp, err := ld.checkPath(lp)
-		if err != nil {
-			return nil, err
-		}
-		return cp.pkg.Types, nil
-	}
-	var pkg *types.Package
-	var err error
-	if from, ok := ld.std.(types.ImporterFrom); ok {
-		pkg, err = from.ImportFrom(path, srcDir, mode)
-	} else {
-		pkg, err = ld.std.Import(path)
-	}
-	if err == nil {
-		return pkg, nil
-	}
-	// Not standard library and not matched by ./...: a vendored dependency.
-	// Resolve it through the go tool (which applies vendor mode) and check
-	// it like any other module package.
-	if lps, lerr := goList(ld.root, []string{path}); lerr == nil && len(lps) == 1 && !lps[0].Standard {
-		ld.byPath[path] = lps[0]
-		cp, cerr := ld.checkPath(lps[0])
-		if cerr != nil {
-			return nil, cerr
-		}
-		return cp.pkg.Types, nil
-	}
-	return nil, err
+	return os.Open(file)
 }

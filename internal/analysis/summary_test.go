@@ -18,9 +18,7 @@ func checkSrc(t *testing.T, path, src string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := &loader{fset: fset, checked: map[string]*checkedPackage{}}
-	ld.std = importer.ForCompiler(fset, "source", nil)
-	tpkg, info, err := ld.typecheck(path, []*ast.File{f})
+	tpkg, info, err := typecheck(fset, importer.ForCompiler(fset, "gc", nil), path, []*ast.File{f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,24 @@ func (s *suppressionSet) allowed(file string, line int, analyzer string) (string
 // annotate marks suppressed diagnostics (keeping them, with the allow
 // reason attached) and appends the malformed-allow findings.
 func (s *suppressionSet) annotate(diags []Diagnostic) []Diagnostic {
+	s.mark(diags)
+	return append(diags, s.malformed...)
+}
+
+func (s *suppressionSet) mark(diags []Diagnostic) {
 	for i := range diags {
 		if reason, ok := s.allowed(diags[i].Pos.Filename, diags[i].Pos.Line, diags[i].Analyzer); ok {
 			diags[i].Suppressed = true
 			diags[i].Reason = reason
 		}
 	}
-	return append(diags, s.malformed...)
+}
+
+// MarkSuppressed marks the diagnostics a well-formed //lint:allow in pkgs'
+// files silences. It serves whole-program checks, whose findings no
+// per-package run annotates; malformed allows are left to that run.
+func MarkSuppressed(pkgs []*Package, diags []Diagnostic) {
+	for _, pkg := range pkgs {
+		collectSuppressions(pkg.Fset, pkg.Files).mark(diags)
+	}
 }

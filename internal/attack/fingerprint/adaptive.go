@@ -64,18 +64,8 @@ func fitAdversary(lab *nettrace.Capture, window time.Duration, generation int) (
 	}, nil
 }
 
-// Generation returns how many defenses this adversary has retrained
-// through (0 = trained on clean traffic only).
-func (a *Adversary) Generation() int { return a.generation }
-
 // Window returns the feature window both classifiers were trained at.
 func (a *Adversary) Window() time.Duration { return a.window }
-
-// Centroid returns the nearest-centroid variant.
-func (a *Adversary) Centroid() *Classifier { return a.centroid }
-
-// Bayes returns the naive-Bayes variant.
-func (a *Adversary) Bayes() *BayesClassifier { return a.bayes }
 
 // Identify classifies every device in a victim capture with both variants
 // over a single feature extraction, and scores each against ground truth.

@@ -25,8 +25,8 @@ func TestAdversaryGenerationZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a0.Generation() != 0 {
-		t.Errorf("generation = %d, want 0", a0.Generation())
+	if a0.generation != 0 {
+		t.Errorf("generation = %d, want 0", a0.generation)
 	}
 	if a0.Window() != time.Hour {
 		t.Errorf("window = %v", a0.Window())
@@ -41,7 +41,7 @@ func TestAdversaryGenerationZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a0.Centroid(), standalone) {
+	if !reflect.DeepEqual(a0.centroid, standalone) {
 		t.Error("adversary centroid differs from standalone Train")
 	}
 	if c.Accuracy < 0.7 || b.Accuracy < 0.6 {
@@ -73,10 +73,10 @@ func TestRetrainBeatsStaticThroughShaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.Generation() != 1 {
-		t.Errorf("retrained generation = %d, want 1", a1.Generation())
+	if a1.generation != 1 {
+		t.Errorf("retrained generation = %d, want 1", a1.generation)
 	}
-	if a0.Generation() != 0 {
+	if a0.generation != 0 {
 		t.Error("Retrain mutated its receiver")
 	}
 	c0, _, err := a0.Identify(shapedVictim)
@@ -190,7 +190,7 @@ func TestIdentifyFeaturesMatchesIdentify(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotB, wantB) {
-				t.Errorf("victim %d, generation %d: IdentifyFeatures differs from Identify", i, a.Generation())
+				t.Errorf("victim %d, generation %d: IdentifyFeatures differs from Identify", i, a.generation)
 			}
 		}
 	}

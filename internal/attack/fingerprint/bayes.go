@@ -31,10 +31,6 @@ type BayesClassifier struct {
 // fewer windows has a degenerate variance estimate.
 const minBayesWindows = 4
 
-// Dropped returns the classes the lab capture contained but the fit could
-// not learn (fewer than minBayesWindows feature windows).
-func (c *BayesClassifier) Dropped() []nettrace.Class { return c.dropped }
-
 // fitBayes fits the naive-Bayes classifier on a labeled lab capture's
 // extracted features.
 func fitBayes(lab *nettrace.Capture, feats map[string][]nettrace.Features) (*BayesClassifier, error) {

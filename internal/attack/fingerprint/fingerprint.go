@@ -148,9 +148,6 @@ func fitCentroid(lab *nettrace.Capture, feats map[string][]nettrace.Features, wi
 	return c, nil
 }
 
-// Window returns the feature window the classifier was trained at.
-func (c *Classifier) Window() time.Duration { return c.window }
-
 // classifyVector returns the nearest-centroid class for one raw feature
 // vector (as produced by Features.Vector), measured in z-scored space.
 func (c *Classifier) classifyVector(v []float64) nettrace.Class {

@@ -32,8 +32,8 @@ func TestTrainAndIdentify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clf.Window() != time.Hour {
-		t.Errorf("window = %v", clf.Window())
+	if clf.window != time.Hour {
+		t.Errorf("window = %v", clf.window)
 	}
 	vcfg := nettrace.DefaultConfig(2)
 	victim, err := nettrace.Simulate(vcfg)
@@ -170,7 +170,7 @@ func TestBayesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Bayes().ClassifyDevice(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := a.bayes.ClassifyDevice(nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("no windows error = %v", err)
 	}
 }
@@ -239,8 +239,8 @@ func TestBayesDroppedClassesSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Bayes().Dropped(); len(got) != 1 || got[0] != nettrace.ClassVacuum {
-		t.Fatalf("Dropped() = %v, want [vacuum]", got)
+	if got := a.bayes.dropped; len(got) != 1 || got[0] != nettrace.ClassVacuum {
+		t.Fatalf("dropped = %v, want [vacuum]", got)
 	}
 
 	victim := &nettrace.Capture{

@@ -131,23 +131,6 @@ func TrainFHMM(submetered map[string]*timeseries.Series, other *timeseries.Serie
 	return &FHMM{cfg: cfg, names: names, chains: chains, factory: factory}, nil
 }
 
-// Devices returns the device names the model disaggregates, sorted.
-func (f *FHMM) Devices() []string {
-	out := make([]string, len(f.names))
-	copy(out, f.names)
-	return out
-}
-
-// Chain returns the trained per-device HMM for the named device.
-func (f *FHMM) Chain(name string) (*hmm.Model, error) {
-	for i, n := range f.names {
-		if n == name {
-			return f.chains[i], nil
-		}
-	}
-	return nil, fmt.Errorf("fhmm: unknown device %q", name)
-}
-
 // Disaggregate decodes the aggregate trace into per-device inferred power
 // series via joint (factorial) Viterbi.
 func (f *FHMM) Disaggregate(aggregate *timeseries.Series) (map[string]*timeseries.Series, error) {

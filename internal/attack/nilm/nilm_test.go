@@ -152,21 +152,16 @@ func TestFHMMDevicesAndChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs := f.Devices()
-	if len(devs) != 2 || devs[0] != loads.NameFridge || devs[1] != loads.NameToaster {
-		t.Errorf("Devices() = %v", devs)
+	// Devices are sorted, each with its own chain.
+	devs := f.names
+	if len(devs) != 2 || devs[0] != loads.NameFridge || devs[1] != loads.NameToaster || len(f.chains) != 2 {
+		t.Fatalf("names = %v with %d chains", devs, len(f.chains))
 	}
-	ch, err := f.Chain(loads.NameToaster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The on state should be near 900 W.
+	// The toaster's on state should be near 900 W.
+	ch := f.chains[1]
 	hi := ch.Means[len(ch.Means)-1]
 	if math.Abs(hi-900) > 50 {
 		t.Errorf("toaster on-state mean = %v", hi)
-	}
-	if _, err := f.Chain("nope"); err == nil {
-		t.Error("unknown chain should fail")
 	}
 }
 

@@ -151,6 +151,8 @@ func (m *Model) viterbiPrep() *factorialPrep {
 
 // LogLikelihood returns the log probability of obs under the model using
 // the scaled forward algorithm.
+//
+//lint:allow deadexport the forward-algorithm oracle of TestViterbiPathBoundedByLikelihood
 func (m *Model) LogLikelihood(obs []float64) (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, fmt.Errorf("log likelihood: %w", err)

@@ -89,9 +89,6 @@ func (f *Factorial) NewStreamDecoderBeam(window int, _ Beam) (*StreamDecoder, er
 	return f.NewStreamDecoder(window)
 }
 
-// Window returns the emission window length.
-func (d *StreamDecoder) Window() int { return d.window }
-
 // Push feeds one observation. When it completes a window, Push returns the
 // per-chain state sequences for that window's observations and true;
 // otherwise it returns nil and false.

@@ -39,10 +39,7 @@ func TestBillingLongTraceNoDrift(t *testing.T) {
 	for i := range vals {
 		vals[i] = 100.5 // 100.5 Wh per hourly interval
 	}
-	s, err := timeseries.FromValues(time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC), time.Hour, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &timeseries.Series{Start: time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC), Step: time.Hour, Values: vals}
 	if err := invariant.BillingConservesEnergy(s, billingTolWh); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,6 @@ type FixedHistogram struct {
 	upper  int64
 	width  int64
 	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
 }
 
 // NewFixedHistogram builds a histogram of the given bucket count over
@@ -50,15 +48,7 @@ func (h *FixedHistogram) Observe(v int64) {
 		b = len(h.counts) - 1
 	}
 	h.counts[b].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
 }
-
-// Count returns the number of recorded samples.
-func (h *FixedHistogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all recorded samples.
-func (h *FixedHistogram) Sum() int64 { return h.sum.Load() }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1): the upper
 // edge of the bucket holding the sample of rank ceil(q*count), clamped to

@@ -54,31 +54,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(c.Total())
 }
 
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0 when undefined.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // MCC returns the Matthews Correlation Coefficient [Matthews 1975], the
 // binary-classifier quality measure the paper uses for occupancy detection:
 // 1.0 is perfect detection, 0.0 is random prediction, and -1.0 is always

@@ -24,15 +24,6 @@ func TestBinaryConfusion(t *testing.T) {
 	if got := c.Accuracy(); math.Abs(got-4.0/6) > 1e-12 {
 		t.Errorf("Accuracy = %v", got)
 	}
-	if got := c.Precision(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Precision = %v", got)
-	}
-	if got := c.Recall(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Recall = %v", got)
-	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1 = %v", got)
-	}
 	if _, err := BinaryConfusion(actual, pred[:2]); !errors.Is(err, ErrLengthMismatch) {
 		t.Errorf("length mismatch error = %v", err)
 	}

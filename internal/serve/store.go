@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -63,24 +64,15 @@ func (st *Store) path(key string) string {
 // Put persists the entry atomically: gzip-compressed envelope to a temp
 // file in the store directory, fsync, then rename over the final name.
 func (st *Store) Put(e *Entry) error {
-	env, err := json.Marshal(entryEnvelope{Key: e.Key, Text: e.Text, JSON: e.JSON})
-	if err != nil {
-		return fmt.Errorf("serve: store encode %s: %w", e.Key, err)
-	}
 	final := st.path(e.Key)
 	tmp, err := os.CreateTemp(st.dir, filepath.Base(final)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("serve: store temp for %s: %w", e.Key, err)
 	}
 	defer os.Remove(tmp.Name()) //lint:allow errpath best-effort cleanup; after a successful rename the temp no longer exists
-	gz := gzip.NewWriter(tmp)
-	if _, err := gz.Write(env); err != nil {
-		tmp.Close() //lint:allow errpath the write error is the failure being reported
+	if err := encodeEntry(tmp, e); err != nil {
+		tmp.Close() //lint:allow errpath the encode error is the failure being reported
 		return fmt.Errorf("serve: store write %s: %w", e.Key, err)
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close() //lint:allow errpath the gzip flush error is the failure being reported
-		return fmt.Errorf("serve: store flush %s: %w", e.Key, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close() //lint:allow errpath the sync error is the failure being reported
@@ -146,6 +138,19 @@ func (st *Store) Len() int {
 	return len(names)
 }
 
+// encodeEntry writes e's envelope, gzip-compressed, to w.
+func encodeEntry(w io.Writer, e *Entry) error {
+	env, err := json.Marshal(entryEnvelope{Key: e.Key, Text: e.Text, JSON: e.JSON})
+	if err != nil {
+		return err
+	}
+	gz := gzip.NewWriter(w)
+	if _, err := gz.Write(env); err != nil {
+		return err
+	}
+	return gz.Close()
+}
+
 // readEntryFile decodes one persisted envelope.
 func readEntryFile(name string) (*Entry, error) {
 	f, err := os.Open(name)
@@ -153,17 +158,27 @@ func readEntryFile(name string) (*Entry, error) {
 		return nil, err
 	}
 	defer f.Close()
-	gz, err := gzip.NewReader(f)
+	e, err := decodeEntry(f)
 	if err != nil {
-		return nil, fmt.Errorf("serve: store gunzip %s: %w", name, err)
+		return nil, fmt.Errorf("serve: store %s: %w", name, err)
+	}
+	return e, nil
+}
+
+// decodeEntry reads one gzip-compressed envelope. It is the only reader of
+// on-disk bytes, so it rejects anything without a cache key.
+func decodeEntry(r io.Reader) (*Entry, error) {
+	gz, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("gunzip: %w", err)
 	}
 	defer gz.Close()
 	var env entryEnvelope
 	if err := json.NewDecoder(gz).Decode(&env); err != nil {
-		return nil, fmt.Errorf("serve: store decode %s: %w", name, err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
-	if env.Key == "" || !strings.Contains(env.Key, "|") {
-		return nil, fmt.Errorf("serve: store decode %s: envelope has no cache key", name)
+	if !strings.Contains(env.Key, "|") {
+		return nil, errors.New("decode: envelope has no cache key")
 	}
 	return &Entry{Key: env.Key, Text: env.Text, JSON: env.JSON}, nil
 }

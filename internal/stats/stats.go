@@ -96,28 +96,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Ranks returns the 1-based average ranks of xs.
-func Ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j+1 < len(idx) && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // Laplace samples from the Laplace distribution with location 0 and the
 // given scale b, using rng. It is the noise primitive of the differential-
 // privacy defense.

@@ -74,32 +74,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-// TestSpearmanMonotone checks the rank-correlation law Ranks exists for:
-// Spearman's rho, Pearson over the ranks, is exactly 1 for a monotone but
-// nonlinear relation, where Pearson over the raw values is not.
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 10, 100, 1000, 10000} // nonlinear but monotone
-	r, err := Pearson(Ranks(xs), Ranks(ys))
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Errorf("Pearson over ranks = %v, %v", r, err)
-	}
-	if raw, _ := Pearson(xs, ys); raw > 0.9 {
-		t.Errorf("Pearson over raw values = %v, want well below 1", raw)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Ranks = %v, want %v", got, want)
-			break
-		}
-	}
-}
-
 func TestLaplaceMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 200000

@@ -91,13 +91,12 @@ func RiseSet(date time.Time, latDeg, lonDeg float64) (DayTimes, error) {
 }
 
 // Ephemeris caches the location-independent solar terms of one instant: the
-// equation of time (minutes) and the declination (radians). Position and
-// PlateOutput derive everything else from these two numbers plus the
-// coordinates, so sweeps that evaluate many candidate locations at the same
-// instants — SunSpot's latitude grid, the solar fleet — can hoist the
-// trigonometry out of the location loop. The *Eph variants below accept
-// a precomputed Ephemeris and run the identical arithmetic in the identical
-// order, so hoisting is bit-transparent.
+// equation of time (minutes) and the declination (radians). The solar
+// position and PlateOutput derive everything else from these two numbers
+// plus the coordinates, so sweeps that evaluate many candidate locations at
+// the same instants — SunSpot's latitude grid, the solar fleet — can hoist
+// the trigonometry out of the location loop. The *Eph functions below
+// accept a precomputed Ephemeris, so hoisting is bit-transparent.
 type Ephemeris struct {
 	// EqMin is the equation of time in minutes.
 	EqMin float64
@@ -105,19 +104,14 @@ type Ephemeris struct {
 	DeclRad float64
 }
 
-// EphemerisAt computes the instant's ephemeris terms exactly as Position
-// does internally.
+// EphemerisAt computes the instant's ephemeris terms.
 func EphemerisAt(t time.Time) Ephemeris {
 	return Ephemeris{EqMin: EquationOfTime(t), DeclRad: Declination(t) * degToRad}
 }
 
-// Position returns the solar zenith and azimuth angles (degrees) at a UTC
-// instant and location. Azimuth is measured clockwise from north.
-func Position(t time.Time, latDeg, lonDeg float64) (zenithDeg, azimuthDeg float64) {
-	return PositionEph(t, EphemerisAt(t), latDeg, lonDeg)
-}
-
-// PositionEph is Position with the instant's ephemeris terms precomputed.
+// PositionEph returns the solar zenith and azimuth angles (degrees) at a
+// UTC instant and location, given the instant's ephemeris terms. Azimuth is
+// measured clockwise from north.
 func PositionEph(t time.Time, eph Ephemeris, latDeg, lonDeg float64) (zenithDeg, azimuthDeg float64) {
 	eq := eph.EqMin
 	decl := eph.DeclRad

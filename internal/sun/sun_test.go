@@ -102,7 +102,7 @@ func TestPositionNoonZenith(t *testing.T) {
 		t.Fatal(err)
 	}
 	noon := equinx.Add(time.Duration(dt.NoonMin * float64(time.Minute)))
-	zen, az := Position(noon, lat, lon)
+	zen, az := PositionEph(noon, EphemerisAt(noon), lat, lon)
 	if math.Abs(zen-lat) > 1.5 {
 		t.Errorf("equinox noon zenith = %.2f, want ~%v", zen, lat)
 	}
@@ -117,8 +117,8 @@ func TestPositionMorningEastEveningWest(t *testing.T) {
 	dt, _ := RiseSet(equinx, lat, lon)
 	morning := equinx.Add(time.Duration((dt.SunriseMin + 60) * float64(time.Minute)))
 	evening := equinx.Add(time.Duration((dt.SunsetMin - 60) * float64(time.Minute)))
-	_, azM := Position(morning, lat, lon)
-	_, azE := Position(evening, lat, lon)
+	_, azM := PositionEph(morning, EphemerisAt(morning), lat, lon)
+	_, azE := PositionEph(evening, EphemerisAt(evening), lat, lon)
 	if azM > 180 {
 		t.Errorf("morning azimuth = %.1f, want < 180 (east)", azM)
 	}
@@ -133,7 +133,7 @@ func TestPositionMorningEastEveningWest(t *testing.T) {
 func TestClearSkyGHI(t *testing.T) {
 	const lat, lon = 40.0, -75.0
 	ghi := func(at time.Time) float64 {
-		zen, _ := Position(at, lat, lon)
+		zen, _ := PositionEph(at, EphemerisAt(at), lat, lon)
 		return ghiFromZenith(zen)
 	}
 	dt, _ := RiseSet(summer, lat, lon)

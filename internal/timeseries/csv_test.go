@@ -32,7 +32,7 @@ func TestWriteCSV(t *testing.T) {
 `},
 	}
 	for _, tt := range tests {
-		s, err := FromValues(testStart, tt.step, tt.values)
+		s, err := fromValues(testStart, tt.step, tt.values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func writeCSV(t *testing.T, s *Series) string {
 // TestCSVRoundTrip checks that every written value, including ones that need
 // an exponent, reads back bit-exactly at its sample's timestamp.
 func TestCSVRoundTrip(t *testing.T) {
-	s, _ := FromValues(testStart, 5*time.Minute, []float64{1.5, -2, 0, 1e6, 0.000125, 1.0 / 3, math.Pi * 1e-300})
+	s, _ := fromValues(testStart, 5*time.Minute, []float64{1.5, -2, 0, 1e6, 0.000125, 1.0 / 3, math.Pi * 1e-300})
 	times, values := readBack(t, writeCSV(t, s))
 	if len(values) != s.Len() {
 		t.Fatalf("read back %d rows, want %d", len(values), s.Len())
@@ -106,7 +106,7 @@ func TestCSVRoundTrip(t *testing.T) {
 // including one (90s) that is not a whole number of minutes.
 func TestCSVRoundTripNonMinuteSteps(t *testing.T) {
 	for _, step := range []time.Duration{time.Second, 10 * time.Second, 90 * time.Second, time.Hour, 6 * time.Hour} {
-		s, err := FromValues(testStart, step, []float64{3, 1, 4, 1, 5})
+		s, err := fromValues(testStart, step, []float64{3, 1, 4, 1, 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestCSVRoundTripNonMinuteSteps(t *testing.T) {
 // TestCSVSingleRow covers a one-sample series: the header and a single row,
 // with no step written anywhere.
 func TestCSVSingleRow(t *testing.T) {
-	s, err := FromValues(testStart, time.Minute, []float64{42})
+	s, err := fromValues(testStart, time.Minute, []float64{42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,6 @@ import (
 
 // Common errors returned by Series operations.
 var (
-	// ErrEmpty indicates an operation that requires at least one sample was
-	// invoked on an empty series.
-	ErrEmpty = errors.New("timeseries: empty series")
 	// ErrStepMismatch indicates two series with different sample steps were
 	// combined without resampling.
 	ErrStepMismatch = errors.New("timeseries: step mismatch")
@@ -52,16 +49,6 @@ func New(start time.Time, step time.Duration, n int) (*Series, error) {
 		return nil, fmt.Errorf("new series: negative length %d", n)
 	}
 	return &Series{Start: start, Step: step, Values: make([]float64, n)}, nil
-}
-
-// FromValues returns a series wrapping a copy of values.
-func FromValues(start time.Time, step time.Duration, values []float64) (*Series, error) {
-	s, err := New(start, step, len(values))
-	if err != nil {
-		return nil, err
-	}
-	copy(s.Values, values)
-	return s, nil
 }
 
 // MustNew is like New but panics on invalid parameters. It is intended for

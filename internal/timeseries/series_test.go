@@ -11,6 +11,16 @@ import (
 
 var testStart = time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 
+// fromValues returns a series wrapping a copy of values.
+func fromValues(start time.Time, step time.Duration, values []float64) (*Series, error) {
+	s, err := New(start, step, len(values))
+	if err != nil {
+		return nil, err
+	}
+	copy(s.Values, values)
+	return s, nil
+}
+
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -59,7 +69,7 @@ func TestTimeIndexRoundTrip(t *testing.T) {
 }
 
 func TestAtOutOfRange(t *testing.T) {
-	s, err := FromValues(testStart, time.Minute, []float64{1, 2, 3})
+	s, err := fromValues(testStart, time.Minute, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +85,8 @@ func TestAtOutOfRange(t *testing.T) {
 }
 
 func TestAddSub(t *testing.T) {
-	a, _ := FromValues(testStart, time.Minute, []float64{1, 2, 3})
-	b, _ := FromValues(testStart, time.Minute, []float64{10, 20, 30, 40})
+	a, _ := fromValues(testStart, time.Minute, []float64{1, 2, 3})
+	b, _ := fromValues(testStart, time.Minute, []float64{10, 20, 30, 40})
 
 	sum, err := a.Add(b)
 	if err != nil {
@@ -109,7 +119,7 @@ func TestAddSub(t *testing.T) {
 
 func TestAddInPlaceOffset(t *testing.T) {
 	base := MustNew(testStart, time.Minute, 10)
-	patch, _ := FromValues(testStart.Add(3*time.Minute), time.Minute, []float64{5, 5, 5})
+	patch, _ := fromValues(testStart.Add(3*time.Minute), time.Minute, []float64{5, 5, 5})
 	if err := base.AddInPlace(patch); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestAddInPlaceOffset(t *testing.T) {
 	}
 
 	// Patch partially before the base must not panic and must clip.
-	early, _ := FromValues(testStart.Add(-2*time.Minute), time.Minute, []float64{7, 7, 7})
+	early, _ := fromValues(testStart.Add(-2*time.Minute), time.Minute, []float64{7, 7, 7})
 	if err := base.AddInPlace(early); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestAddInPlaceOffset(t *testing.T) {
 }
 
 func TestStatsAndEnergy(t *testing.T) {
-	s, _ := FromValues(testStart, 30*time.Minute, []float64{100, 300, 200, 0})
+	s, _ := fromValues(testStart, 30*time.Minute, []float64{100, 300, 200, 0})
 	if got := s.Mean(); got != 150 {
 		t.Errorf("Mean() = %v", got)
 	}
@@ -159,7 +169,7 @@ func TestStatsAndEnergy(t *testing.T) {
 }
 
 func TestResampleCoarsen(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 3, 5, 7, 2, 4})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 3, 5, 7, 2, 4})
 	r, err := s.Resample(2 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +186,7 @@ func TestResampleCoarsen(t *testing.T) {
 }
 
 func TestResampleRefine(t *testing.T) {
-	s, _ := FromValues(testStart, 2*time.Minute, []float64{4, 8})
+	s, _ := fromValues(testStart, 2*time.Minute, []float64{4, 8})
 	r, err := s.Resample(time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +231,7 @@ func TestResampleRoundTripPreservesEnergy(t *testing.T) {
 // strictly inside (Start-Step, Start) mapped to index 0. At then returned
 // Values[0] for an out-of-range time instead of 0.
 func TestIndexOfFloorsPreStart(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 2, 3})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 2, 3})
 	cases := []struct {
 		offset time.Duration
 		want   int
@@ -278,7 +288,7 @@ func TestResamplePartialTailConservesEnergy(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 4, 2, 2})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 4, 2, 2})
 	d := s.Diff()
 	want := []float64{3, -2, 0}
 	if d.Len() != 3 {
@@ -295,7 +305,7 @@ func TestDiff(t *testing.T) {
 }
 
 func TestMovingAverage(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{0, 0, 9, 0, 0})
+	s, _ := fromValues(testStart, time.Minute, []float64{0, 0, 9, 0, 0})
 	m := s.MovingAverage(3)
 	want := []float64{0, 3, 3, 3, 0}
 	for i, v := range want {
@@ -313,7 +323,7 @@ func TestMovingAverage(t *testing.T) {
 }
 
 func TestSliceClamping(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 2, 3, 4})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 2, 3, 4})
 	if got := s.Slice(-5, 2); got.Len() != 2 || got.Values[0] != 1 {
 		t.Errorf("Slice(-5,2) = %v", got.Values)
 	}
@@ -333,7 +343,7 @@ func TestSliceClamping(t *testing.T) {
 }
 
 func TestMapScaleClampBinary(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{-1, 0.5, 2})
+	s, _ := fromValues(testStart, time.Minute, []float64{-1, 0.5, 2})
 	b := s.Binary(0.5)
 	want := []float64{0, 1, 1}
 	for i, v := range want {
@@ -359,7 +369,7 @@ func TestMapScaleClampBinary(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 2})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 2})
 	c := s.Clone()
 	c.Values[0] = 99
 	if s.Values[0] != 1 {
@@ -371,8 +381,8 @@ func TestCloneIsDeep(t *testing.T) {
 func TestQuickAddCommutative(t *testing.T) {
 	f := func(raw []float64) bool {
 		vals := sanitize(raw)
-		a, _ := FromValues(testStart, time.Minute, vals)
-		b, _ := FromValues(testStart, time.Minute, reversed(vals))
+		a, _ := fromValues(testStart, time.Minute, vals)
+		b, _ := fromValues(testStart, time.Minute, reversed(vals))
 		ab, err1 := a.Add(b)
 		ba, err2 := b.Add(a)
 		if err1 != nil || err2 != nil {
@@ -405,7 +415,7 @@ func TestQuickResampleEnergy(t *testing.T) {
 	f := func(raw []float64, kRaw uint8) bool {
 		vals := sanitize(raw)
 		k := int(kRaw%8) + 1
-		s, _ := FromValues(testStart, time.Minute, vals)
+		s, _ := fromValues(testStart, time.Minute, vals)
 		r, err := s.Resample(time.Duration(k) * time.Minute)
 		if err != nil {
 			return false

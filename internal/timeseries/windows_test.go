@@ -8,7 +8,7 @@ import (
 )
 
 func TestWindows(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{1, 1, 1, 5, 5, 5, 9})
+	s, _ := fromValues(testStart, time.Minute, []float64{1, 1, 1, 5, 5, 5, 9})
 	ws, err := s.Windows(3 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestWindows(t *testing.T) {
 }
 
 func TestWindowsBurstiness(t *testing.T) {
-	s, _ := FromValues(testStart, time.Minute, []float64{0, 10, 0, 10})
+	s, _ := fromValues(testStart, time.Minute, []float64{0, 10, 0, 10})
 	ws, err := s.Windows(4 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestDetectEdgesBasic(t *testing.T) {
 			vals[i] = 1600
 		}
 	}
-	s, _ := FromValues(testStart, time.Minute, vals)
+	s, _ := fromValues(testStart, time.Minute, vals)
 	edges := s.DetectEdges(500, 3)
 	if len(edges) != 2 {
 		t.Fatalf("DetectEdges() = %d edges, want 2: %+v", len(edges), edges)
@@ -79,7 +79,7 @@ func TestDetectEdgesBasic(t *testing.T) {
 
 func TestDetectEdgesIgnoresSmallChanges(t *testing.T) {
 	vals := []float64{100, 150, 90, 130, 100, 120}
-	s, _ := FromValues(testStart, time.Minute, vals)
+	s, _ := fromValues(testStart, time.Minute, vals)
 	if edges := s.DetectEdges(500, 2); len(edges) != 0 {
 		t.Errorf("DetectEdges() on jitter = %+v, want none", edges)
 	}
@@ -90,7 +90,7 @@ func TestDetectEdgesSuppressesSpikes(t *testing.T) {
 	// pad medians are used... it still produces a sample-to-sample delta but
 	// the median levels on both sides are equal, so it is rejected.
 	vals := []float64{100, 100, 100, 2000, 100, 100, 100}
-	s, _ := FromValues(testStart, time.Minute, vals)
+	s, _ := fromValues(testStart, time.Minute, vals)
 	if edges := s.DetectEdges(500, 3); len(edges) != 0 {
 		t.Errorf("spike should not produce edges, got %+v", edges)
 	}
