@@ -3,8 +3,9 @@
 # privmemvet analyzer suite (lint), build, the full test suite under the race
 # detector (the RunAll and serve concurrency tests only count as coverage
 # when raced), the per-package coverage floors, a fuzz smoke of the fleet
-# mix parser and of the store's envelope decoder, and the memoird smoke test (random port, /healthz + report
-# probes, cache-hit verification, clean shutdown).
+# mix parser, of the store's envelope decoder and of the factored FHMM
+# decode against its dense oracle, and the memoird smoke test (random port,
+# /healthz + report probes, cache-hit verification, clean shutdown).
 
 GO ?= go
 
@@ -114,15 +115,18 @@ cover-cmd:
 		fi; \
 	done
 
-# fuzz runs the native fuzz targets of the two parsers of untrusted input,
-# each for FUZZTIME: the fleet mix parser (against the checked-in corpus
+# fuzz runs three native fuzz targets, each for FUZZTIME: the two parsers
+# of untrusted input — the fleet mix parser (against the checked-in corpus
 # under internal/fleet/testdata/fuzz/), then the store's envelope decoder,
-# the only reader of on-disk bytes. Any crasher is written back under the
-# package's testdata/fuzz/ as a failing seed, so a red `make fuzz` leaves a
-# reproducer behind.
+# the only reader of on-disk bytes — and the factored FHMM decode, whose
+# paths and scores must equal the dense oracle's bit for bit on models and
+# observations (NaN, ±Inf, ±1e300 among them) built from the input. Any
+# crasher is written back under the package's testdata/fuzz/ as a failing
+# seed, so a red `make fuzz` leaves a reproducer behind.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreEntry$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorialDecode$$' -fuzztime $(FUZZTIME) ./internal/hmm
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -18,8 +18,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -65,7 +67,7 @@ func run(args []string) int {
 	case "armsrace":
 		err = cmdArmsRace(*seed, *quick)
 	case "fleet":
-		err = cmdFleet(*seed, *homes, *workers, *days, *mix, *quick)
+		err = cmdFleet(os.Stdout, *seed, *homes, *workers, *days, *mix, *quick)
 	case "figures":
 		err = cmdFigures(*seed, *quick, *ids, *workers)
 	default:
@@ -229,7 +231,7 @@ func cmdArmsRace(seed int64, quick bool) error {
 // count); the throughput lines are this run's measurements and live out here
 // in the command layer so the library result stays a pure function of the
 // spec.
-func cmdFleet(seed int64, homes, workers, days int, mix string, quick bool) error {
+func cmdFleet(w io.Writer, seed int64, homes, workers, days int, mix string, quick bool) error {
 	spec := fleet.DefaultSpec()
 	spec.Seed = seed
 	spec.Homes = homes
@@ -249,15 +251,19 @@ func cmdFleet(seed int64, homes, workers, days int, mix string, quick bool) erro
 		return err
 	}
 
+	// The sampler starts first so that its own allocations land before the
+	// baseline.
+	stopPeak := watchPeakHeap(time.Millisecond)
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	startAt := time.Now()
 	res, err := fleet.Run(spec)
+	elapsed := time.Since(startAt)
+	peak := stopPeak()
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(startAt)
 	// Collect the run's garbage so the delta counts only what the Result
 	// keeps live.
 	var after runtime.MemStats
@@ -265,17 +271,62 @@ func cmdFleet(seed int64, homes, workers, days int, mix string, quick bool) erro
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(res)
 
-	if err := res.Render(os.Stdout); err != nil {
+	if err := res.Render(w); err != nil {
 		return err
 	}
 	homesPerSec := float64(spec.Homes) / elapsed.Seconds()
-	liveBytes := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if liveBytes < 0 {
-		liveBytes = 0
+	perHome := func(delta int64) int64 { return max(delta, 0) / int64(spec.Homes) }
+	_, err = fmt.Fprintf(w, "  throughput     %.0f homes/sec (%s total)\n"+
+		"  memory         %d bytes/home retained (live heap delta after the run)\n"+
+		"  peak heap      %d bytes/home in use during the run (above the heap before it)\n",
+		homesPerSec, elapsed.Round(time.Millisecond),
+		perHome(int64(after.HeapAlloc)-int64(before.HeapAlloc)),
+		perHome(int64(peak)-int64(before.HeapInuse)))
+	return err
+}
+
+// heapInuseMetrics sum to MemStats.HeapInuse: the bytes of heap objects,
+// live or not yet swept, plus the free space in in-use spans.
+var heapInuseMetrics = []string{"/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"}
+
+// watchPeakHeap samples the heap in use from runtime/metrics every `every`
+// until the returned stop is called; stop returns the largest sample,
+// including one taken at the stop. The first read, which allocates the
+// metric descriptions, happens before it returns and is not a sample.
+func watchPeakHeap(every time.Duration) (stop func() uint64) {
+	samples := make([]metrics.Sample, len(heapInuseMetrics))
+	for i, name := range heapInuseMetrics {
+		samples[i].Name = name
 	}
-	fmt.Printf("  throughput     %.0f homes/sec (%s total)\n", homesPerSec, elapsed.Round(time.Millisecond))
-	fmt.Printf("  memory         %d bytes/home live heap delta\n", liveBytes/int64(spec.Homes))
-	return nil
+	read := func() uint64 {
+		metrics.Read(samples)
+		var n uint64
+		for _, s := range samples {
+			n += s.Value.Uint64()
+		}
+		return n
+	}
+	metrics.Read(samples)
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		var best uint64
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				best = max(best, read())
+			case <-done:
+				peak <- max(best, read())
+				return
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
+	}
 }
 
 func cmdFigures(seed int64, quick bool, idsFlag string, workers int) error {

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"regexp"
+	"strconv"
+	"testing"
+)
 
 func TestRunArgHandling(t *testing.T) {
 	tests := []struct {
@@ -25,5 +30,25 @@ func TestRunArgHandling(t *testing.T) {
 				t.Errorf("run(%v) = %d, want %d", tt.args, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestFleetReportsPeakHeap runs a small fleet through cmdFleet and checks
+// that the peak-heap line is printed with a positive per-home figure
+// beside the retained-heap line.
+func TestFleetReportsPeakHeap(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdFleet(&out, 3, 60, 2, 1, "", true); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`memory +\d+ bytes/home retained`).Match(out.Bytes()) {
+		t.Fatalf("no retained-heap line in:\n%s", out.String())
+	}
+	m := regexp.MustCompile(`peak heap +(\d+) bytes/home in use`).FindSubmatch(out.Bytes())
+	if m == nil {
+		t.Fatalf("no peak-heap line in:\n%s", out.String())
+	}
+	if n, err := strconv.Atoi(string(m[1])); err != nil || n <= 0 {
+		t.Fatalf("peak heap = %s bytes/home, want > 0", m[1])
 	}
 }

@@ -19,8 +19,10 @@ type FHMMConfig struct {
 	ObsStdW float64
 	// ChunkSamples bounds the Viterbi lattice length decoded at once; long
 	// traces are decoded in consecutive chunks (default 1440, one day of
-	// minutes). Factorial decoding is O(T * K^2D), so chunking keeps memory
-	// flat without affecting the decoded path except at chunk borders.
+	// minutes). Factorial decoding of D chains of K states is
+	// O(T · K^D · ΣK) time with a T × K^D backpointer lattice, so chunking
+	// keeps memory flat without affecting the decoded path except at chunk
+	// borders.
 	ChunkSamples int
 	// OtherStates is the number of states of the auxiliary "other loads"
 	// chain trained on the unmetered remainder (aggregate minus tracked

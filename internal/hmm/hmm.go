@@ -6,10 +6,13 @@
 // HMM over a product state space).
 //
 // Every Viterbi decode runs through one engine: a factorialPrep (the
-// model's flattened tables), its sweep, and the StreamDecoder's
-// per-observation step and backtrack. Factorial.Decode is one decoder
-// window covering all observations, Model.Viterbi is the same on a
-// one-chain prep, and the fleet's incremental decode emits every window.
+// model's per-joint-state emission tables and per-chain log-transition
+// tables), its factored sweep, which takes the max over predecessors one
+// chain at a time and certifies that it reproduces the dense max bit for
+// bit, and the StreamDecoder's per-observation step and backtrack.
+// Factorial.Decode is one decoder window covering all observations,
+// Model.Viterbi is the same on a one-chain prep, and the fleet's
+// incremental decode emits every window.
 package hmm
 
 import (
@@ -119,33 +122,24 @@ func (m *Model) Viterbi(obs []float64) ([]int, float64, error) {
 	return paths[0], logp, nil
 }
 
-// viterbiPrep builds the decode tables of the model alone: each state's
-// emission is its own minStd-clamped Gaussian (no observation noise is
-// added, unlike a factorial's joint state), and the initial and transition
-// log probabilities are safeLog of the model's, so every lattice entry is
-// the logGauss and safeLog arithmetic of the textbook recursion.
+// viterbiPrep builds the decode tables of the model alone, a one-chain
+// joint lattice with one k×k transition table: each state's emission is its
+// own minStd-clamped Gaussian (no observation noise is added, unlike a
+// factorial's joint state), and the initial and transition log
+// probabilities are safeLog of the model's, so every lattice entry is the
+// logGauss and safeLog arithmetic of the textbook recursion.
 func (m *Model) viterbiPrep() *factorialPrep {
 	k := m.K()
-	p := &factorialPrep{
-		nj:      k,
-		nc:      1,
-		sumMean: m.Means,
-		emitStd: make([]float64, k),
-		logStd:  make([]float64, k),
-		initLog: make([]float64, k),
-		transT:  make([]float64, k*k),
-		states:  make([]int32, k),
-	}
+	p := newPrep(k, 1)
+	copy(p.sumMean, m.Means)
 	for s := 0; s < k; s++ {
 		std := max(m.Stds[s], minStd)
 		p.emitStd[s] = std
 		p.logStd[s] = math.Log(std)
 		p.initLog[s] = safeLog(m.Initial[s])
 		p.states[s] = int32(s)
-		for r := 0; r < k; r++ {
-			p.transT[s*k+r] = safeLog(m.Trans[r][s])
-		}
 	}
+	p.initTrans([]*Model{m})
 	return p
 }
 

@@ -25,9 +25,10 @@ func (f *Factorial) prepTables() *factorialPrep {
 // window's maximum-likelihood final state, so later observations cannot
 // revise earlier windows (the standard bounded-lag approximation). One
 // window over every observation is exact Viterbi: Factorial.Decode and
-// Model.Viterbi. Its working set — two delta rows plus one window of
-// backpointers — is fixed at construction, the bounded-memory contract the
-// fleet ingest workers rely on.
+// Model.Viterbi. Its working set — two delta rows, one window of
+// backpointers and the sweep's elimination scratch — is fixed at
+// construction, the bounded-memory contract the fleet ingest workers rely
+// on.
 //
 // A StreamDecoder is not safe for concurrent use; each stream of
 // observations owns its decoder. Decoders attached to the same Factorial
@@ -38,6 +39,7 @@ type StreamDecoder struct {
 	delta  []float64
 	next   []float64
 	prev   []int32
+	sc     sweepScratch
 	filled int // observations in the open window
 	seen   bool
 	// emit buffers are reallocated per emission: callers typically retain
@@ -45,13 +47,18 @@ type StreamDecoder struct {
 }
 
 // newDecoder returns a decoder over p emitting every `window` observations.
+// Its rows come from one float and one index allocation.
 func newDecoder(p *factorialPrep, window int) *StreamDecoder {
+	nj := p.nj
+	fs := make([]float64, 7*nj)
+	is := make([]int32, (window+3)*nj)
 	return &StreamDecoder{
 		p:      p,
 		window: window,
-		delta:  make([]float64, p.nj),
-		next:   make([]float64, p.nj),
-		prev:   make([]int32, window*p.nj),
+		delta:  fs[0:nj:nj],
+		next:   fs[nj : 2*nj : 2*nj],
+		prev:   is[: window*nj : window*nj],
+		sc:     newSweepScratch(nj, fs[2*nj:], is[window*nj:]),
 	}
 }
 
@@ -126,7 +133,7 @@ func (d *StreamDecoder) step(x float64) {
 		d.seen = true
 	} else {
 		r := d.filled
-		p.sweep(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj])
+		p.sweep(x, d.delta, d.next, d.prev[r*nj:(r+1)*nj], &d.sc)
 		d.delta, d.next = d.next, d.delta
 	}
 	d.filled++
