@@ -251,12 +251,13 @@ func cmdFleet(w io.Writer, seed int64, homes, workers, days int, mix string, qui
 		return err
 	}
 
-	// The sampler starts first so that its own allocations land before the
-	// baseline.
-	stopPeak := watchPeakHeap(time.Millisecond)
+	// The reader's first read, which allocates, lands before the baseline;
+	// the ticker starts after it, so no sample sees the pre-GC heap.
+	readHeap := heapInuseReader()
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	stopPeak := watchPeakHeap(readHeap, time.Millisecond)
 	startAt := time.Now()
 	res, err := fleet.Run(spec)
 	elapsed := time.Since(startAt)
@@ -289,16 +290,16 @@ func cmdFleet(w io.Writer, seed int64, homes, workers, days int, mix string, qui
 // live or not yet swept, plus the free space in in-use spans.
 var heapInuseMetrics = []string{"/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"}
 
-// watchPeakHeap samples the heap in use from runtime/metrics every `every`
-// until the returned stop is called; stop returns the largest sample,
-// including one taken at the stop. The first read, which allocates the
-// metric descriptions, happens before it returns and is not a sample.
-func watchPeakHeap(every time.Duration) (stop func() uint64) {
+// heapInuseReader returns a reader of the heap in use from runtime/metrics.
+// It reads once before it returns, so the allocation of the metric
+// descriptions is behind the caller's later measurements.
+func heapInuseReader() func() uint64 {
 	samples := make([]metrics.Sample, len(heapInuseMetrics))
 	for i, name := range heapInuseMetrics {
 		samples[i].Name = name
 	}
-	read := func() uint64 {
+	metrics.Read(samples)
+	return func() uint64 {
 		metrics.Read(samples)
 		var n uint64
 		for _, s := range samples {
@@ -306,7 +307,11 @@ func watchPeakHeap(every time.Duration) (stop func() uint64) {
 		}
 		return n
 	}
-	metrics.Read(samples)
+}
+
+// watchPeakHeap calls read every `every` until the returned stop is
+// called; stop returns the largest sample, including one taken at the stop.
+func watchPeakHeap(read func() uint64, every time.Duration) (stop func() uint64) {
 	done := make(chan struct{})
 	peak := make(chan uint64)
 	go func() {

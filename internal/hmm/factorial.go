@@ -272,28 +272,12 @@ func newSweepScratch(nj int, fs []float64, is []int32) sweepScratch {
 // r there, successor s in e'), the top two of in.best[e] + L(r -> s) and
 // in.second[e] + L(r -> s). Rounding is monotone, so the carried values are
 // exactly the rounded partial sums of the winning and the runner-up
-// predecessors. Two-state chains (every appliance chain of Figure 2 and of
-// the fleet) take an unrolled loop that reads each input entry once for
-// both successors; on a 2-core x86 host it is about a fifth faster than the
-// general loop on those shapes.
+// predecessors.
 func (c *chainTable) eliminate(in, out *top2) {
 	k, stride := c.k, c.stride
 	n := len(out.best)
 	ib, is, ia := in.best[:n], in.second[:n], in.arg[:n]
 	ob, os, oa := out.best[:n], out.second[:n], out.arg[:n]
-	if k == 2 {
-		l00, l01, l10, l11 := c.logTrans[0], c.logTrans[1], c.logTrans[2], c.logTrans[3]
-		for base := 0; base < n; base += 2 * stride {
-			for i := base; i < base+stride; i++ {
-				j := i + stride
-				b0, s0, a0 := ib[i], is[i], ia[i]
-				b1, s1, a1 := ib[j], is[j], ia[j]
-				ob[i], os[i], oa[i] = top2of(b0+l00, s0+l00, a0, b1+l01, s1+l01, a1)
-				ob[j], os[j], oa[j] = top2of(b0+l10, s0+l10, a0, b1+l11, s1+l11, a1)
-			}
-		}
-		return
-	}
 	for base := 0; base < n; base += k * stride {
 		for s := 0; s < k; s++ {
 			col := c.logTrans[s*k : s*k+k]
