@@ -57,9 +57,9 @@ func (c *Config) withDefaults() Config {
 
 func (c *Config) validate() error {
 	switch {
-	case c.Threshold <= 0 || c.Threshold >= 0.5:
+	case math.IsNaN(c.Threshold) || c.Threshold <= 0 || c.Threshold >= 0.5:
 		return fmt.Errorf("%w: threshold %v", ErrBadInput, c.Threshold)
-	case c.MinPeakW < 0:
+	case math.IsNaN(c.MinPeakW) || math.IsInf(c.MinPeakW, 0) || c.MinPeakW < 0:
 		return fmt.Errorf("%w: min peak %v W", ErrBadInput, c.MinPeakW)
 	case c.MinDays < 1:
 		return fmt.Errorf("%w: min days %d", ErrBadInput, c.MinDays)
@@ -279,9 +279,12 @@ type dayEntry struct {
 // The latitude fit re-evaluates the same (day, latitude) keys for every
 // site over the same season, so one Model shared by the traces of one
 // world computes each key once. Every value is a pure function of its
-// key, so sharing a Model never changes an estimate. A Model is safe for
-// concurrent use and holds memory for every key it has seen; it is meant
-// to live as long as the world whose traces it localizes.
+// key, so sharing a Model never changes an estimate. A key's windows cost
+// only the instants that can set a peak or a threshold crossing
+// (computeModelWindows); the output-bound table that picks them is built
+// once per process, on the first key any Model computes. A Model is safe
+// for concurrent use and holds memory for every key it has seen; it is
+// meant to live as long as the world whose traces it localizes.
 type Model struct {
 	mu      sync.Mutex
 	windows map[windowKey]*windowEntry
@@ -345,54 +348,207 @@ func (m *Model) dayEphemeris(day time.Time) []dayStep {
 }
 
 // computeModelWindows is the forward model for every candidate tilt over
-// one day's solar-term table (dayEphemeris). Each instant's
-// tilt-independent sky terms are computed once and finished per tilt;
+// one day's solar-term table (dayEphemeris). A window reads only each
+// tilt's peak and the first and last step above thresholdFrac of it, so
+// the kernel evaluates sun.PlateSite.Sky only at the steps that can set
+// one of those: outward from the highest-sun step until no remaining
+// step's output bound (skyBound) can reach any tilt's running peak, and
+// then inward from each edge up to the first step above the threshold,
+// skipping steps whose bound is at most the threshold. The peak is the
+// maximum over every step and each crossing is the first or last step
+// above the threshold, exactly as a dense evaluation of all modelSteps
+// instants finds them, so the windows are bit-identical to it (pinned
+// against the dense oracle in model_test.go). Each evaluated instant's
+// tilt-independent Sky is computed once and finished per tilt;
 // sun.PlateSite.FromSky over a shared Sky is bit-identical to
 // sun.PlateOutputEph at each tilt.
 func computeModelWindows(eph []dayStep, lat, thresholdFrac float64) (out [len(modelTiltsDeg)]windowVal) {
-	var sites [len(modelTiltsDeg)]sun.PlateSite
+	var k windowKernel
 	for j, tilt := range modelTiltsDeg {
-		sites[j] = sun.NewPlateSite(lat, 0, tilt, modelAzimuthDeg, modelDiffuse)
+		k.sites[j] = sun.NewPlateSite(lat, 0, tilt, modelAzimuthDeg, modelDiffuse)
 	}
-	var gen [len(modelTiltsDeg)][modelSteps]float64
-	var peak [len(modelTiltsDeg)]float64
+	k.eph, k.bound = eph, skyBound()
+
+	// The cosine of the zenith angle is Sky's first product; its bin
+	// bounds the step's output at every tilt.
+	sinLat, cosLat := math.Sin(lat*degToRad), math.Cos(lat*degToRad)
+	var pre, suf [modelSteps]uint16 // running max of bin from each edge
+	top, topCZ := 0, math.Inf(-1)
 	for i := range eph {
-		sky := sites[0].Sky(eph[i].eph, eph[i].ha)
-		for j := range sites {
-			gen[j][i] = sites[j].FromSky(sky)
-			peak[j] = max(peak[j], gen[j][i])
+		e := &eph[i]
+		cz := sinLat*e.eph.SinDecl + cosLat*e.eph.CosDecl*e.ha.CosHA
+		k.bin[i] = boundBin(cz)
+		if cz > topCZ {
+			top, topCZ = i, cz
+		}
+		pre[i] = k.bin[i]
+		if i > 0 {
+			pre[i] = max(pre[i], pre[i-1])
 		}
 	}
+	for i := modelSteps - 1; i >= 0; i-- {
+		suf[i] = k.bin[i]
+		if i < modelSteps-1 {
+			suf[i] = max(suf[i], suf[i+1])
+		}
+	}
+
+	// Peak: every step at or left of l has a bin of at most pre[l], so
+	// once no tilt's bound at pre[l] exceeds its running peak, none of
+	// them can raise a peak; likewise right of r with suf[r].
+	k.eval(top)
+	for l := top - 1; l >= 0 && k.raisesPeak(pre[l]); l-- {
+		k.eval(l)
+	}
+	for r := top + 1; r < modelSteps && k.raisesPeak(suf[r]); r++ {
+		k.eval(r)
+	}
+
 	for j := range out {
-		out[j].minutes, out[j].ok = windowLen(&gen[j], peak[j], thresholdFrac)
+		if k.peak[j] <= 0 {
+			continue
+		}
+		thr := thresholdFrac * k.peak[j]
+		first := k.crossing(j, thr, 0, 1)
+		last := k.crossing(j, thr, modelSteps-1, -1)
+		if first < 0 || last <= first || (first == 0 && last == modelSteps-1) {
+			continue
+		}
+		out[j] = windowVal{minutes: float64(last-first) * modelStepMin, ok: true}
 	}
 	return out
 }
 
-// windowLen is the length in minutes of the span where gen exceeds
-// thresholdFrac of its peak; ok is false when there is no such span or it
-// runs edge to edge (a polar day at lon=0).
-func windowLen(gen *[modelSteps]float64, peak, thresholdFrac float64) (minutes float64, ok bool) {
-	if peak <= 0 {
-		return 0, false
+// windowKernel is computeModelWindows' per-key state: the plate output of
+// every evaluated step at each tilt, kept on the caller's stack.
+type windowKernel struct {
+	sites [len(modelTiltsDeg)]sun.PlateSite
+	eph   []dayStep
+	bound *skyBoundTable
+	bin   [modelSteps]uint16
+	done  [modelSteps]bool
+	gen   [len(modelTiltsDeg)][modelSteps]float64
+	peak  [len(modelTiltsDeg)]float64
+}
+
+// eval computes step i's output at every tilt, once, and folds it into
+// the running peaks.
+func (k *windowKernel) eval(i int) {
+	if k.done[i] {
+		return
 	}
-	thr := thresholdFrac * peak
-	first, last := -1, -1
-	for i, v := range gen {
-		if v > thr {
-			if first < 0 {
-				first = i
-			}
-			last = i
+	k.done[i] = true
+	sky := k.sites[0].Sky(k.eph[i].eph, k.eph[i].ha)
+	for j := range k.sites {
+		k.gen[j][i] = k.sites[j].FromSky(sky)
+		k.peak[j] = max(k.peak[j], k.gen[j][i])
+	}
+}
+
+// raisesPeak reports whether a step in bin b may output more than the
+// running peak at some tilt.
+func (k *windowKernel) raisesPeak(b uint16) bool {
+	for j, p := range k.peak {
+		if k.bound[j][b] > p {
+			return true
 		}
 	}
-	if first < 0 || last <= first {
-		return 0, false
+	return false
+}
+
+// crossing returns the first step above thr at tilt j, scanning from step
+// from in direction dir (+1 or -1), or -1 if there is none; a step whose
+// bound is at most thr cannot be above it and is skipped unevaluated.
+func (k *windowKernel) crossing(j int, thr float64, from, dir int) int {
+	for i := from; i >= 0 && i < modelSteps; i += dir {
+		if k.bound[j][k.bin[i]] <= thr {
+			continue
+		}
+		k.eval(i)
+		if k.gen[j][i] > thr {
+			return i
+		}
 	}
-	if first == 0 && last == modelSteps-1 {
-		return 0, false
+	return -1
+}
+
+// Output bound. At an instant with zenith angle zen, sun.PlateSite.Sky
+// and FromSky give
+//
+//	ghi·(d·skyView) + (1−d)·ghi·min(3, max(0, cosInc)/max(0.03, cos zen))
+//
+// with d = modelDiffuse, ghi = 1353·0.7^(AM^0.678)·cos zen and
+// AM = 1/(cos zen + 0.50572·(96.07995−zen)^−1.6364). Since the relative
+// azimuth's cosine is at most 1, cosInc ≤ cos(zen−tilt), which is at most
+// c = 1 when zen ≤ tilt; and cos zen/max(0.03, cos zen) ≤ 1. So over a bin
+// of cos zen ∈ [lo, hi], with zen ∈ [acos hi, acos lo], the output is at
+// most
+//
+//	1353·0.7^(AMmin^0.678)·(d·skyView·hi + (1−d)·c(acos hi))
+//
+// where AMmin = 1/(hi + 0.50572·(96.07995−acos lo)^−1.6364) takes each
+// term of the denominator at its own largest value over the bin (the
+// air-mass formula is not monotone in zen within a hundredth of a degree
+// of the zenith). Each entry is raised by boundSlack to cover the ulp-level
+// gap between this float chain and Sky's, and the table is made
+// non-decreasing in the bin, which the prefix and suffix maxima of
+// computeModelWindows rely on.
+const (
+	// skyBoundBins is the number of cos-zenith bins; a power of two, so
+	// cz·skyBoundBins and the bin edges k/skyBoundBins are exact.
+	skyBoundBins = 1024
+	// boundMargin widens each bin on both sides: computeModelWindows
+	// recomputes Sky's zenith cosine, which may differ from Sky's own in
+	// the last few bits (the compiler may fuse a multiply-add).
+	boundMargin = 1e-12
+	// boundSlack is the relative headroom of every table entry.
+	boundSlack = 1e-9
+	// darkCosZen: at a zenith cosine this far below zero Sky's zenith
+	// angle is past 90°, so the output is 0 at every tilt.
+	darkCosZen = -1e-6
+
+	degToRad = math.Pi / 180
+	radToDeg = 180 / math.Pi
+)
+
+// skyBoundTable holds each tilt's output bound per bin. Bin 0 is the
+// dark bin (bound 0); bin b ≥ 1 covers cos zen ∈ [(b−1)/n, b/n] widened
+// by boundMargin, with n = skyBoundBins.
+type skyBoundTable [len(modelTiltsDeg)][skyBoundBins + 1]float64
+
+// skyBound builds the table on first use, once per process: 1,024 bins of
+// three Pow and two Acos calls, about 0.3 ms on one core. At package init
+// every binary linking the package would pay it.
+var skyBound = sync.OnceValue(func() *skyBoundTable {
+	t := new(skyBoundTable)
+	for b := 1; b <= skyBoundBins; b++ {
+		hi := float64(b) / skyBoundBins
+		lo := float64(b-1)/skyBoundBins - 2*boundMargin
+		zenLo := math.Acos(hi) * radToDeg
+		zenHi := math.Acos(lo) * radToDeg
+		amMin := 1 / (hi + 0.50572*math.Pow(96.07995-zenHi, -1.6364))
+		clearSky := 1353 * math.Pow(0.7, math.Pow(amMin, 0.678))
+		for j, tilt := range modelTiltsDeg {
+			c := 1.0
+			if zenLo > tilt {
+				c = math.Cos((zenLo - tilt) * degToRad)
+			}
+			skyView := (1 + math.Cos(tilt*degToRad)) / 2
+			u := clearSky * (modelDiffuse*skyView*hi + (1-modelDiffuse)*c) * (1 + boundSlack)
+			t[j][b] = max(u, t[j][b-1])
+		}
 	}
-	return float64(last-first) * modelStepMin, true
+	return t
+})
+
+// boundBin returns the bound-table bin of a step whose zenith cosine, as
+// computeModelWindows recomputes it, is cz.
+func boundBin(cz float64) uint16 {
+	if cz <= darkCosZen {
+		return 0
+	}
+	cz = max(0, cz+boundMargin)
+	return uint16(min(int(cz*skyBoundBins), skyBoundBins-1) + 1)
 }
 
 // extractAnchors pulls per-solar-day production start/stop times from the

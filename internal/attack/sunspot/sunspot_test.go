@@ -2,6 +2,7 @@ package sunspot
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -98,6 +99,26 @@ func TestLocalizeValidation(t *testing.T) {
 	gen := timeseries.MustNew(ssStart, time.Minute, 30*1440)
 	if _, err := Localize(gen, Config{Threshold: 0.9}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("bad threshold error = %v", err)
+	}
+	// NaN compares false against every bound, so a range check alone
+	// accepts it; a NaN MinPeakW would silently switch off the
+	// overcast-day filter on a trace that otherwise localizes.
+	clearSky, err := solarsim.Generate(site(), nil, ssStart, 30, time.Minute, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Threshold: math.NaN()},
+		{MinPeakW: math.NaN()},
+		{MinPeakW: math.Inf(1)},
+	} {
+		d := cfg.withDefaults()
+		if err := d.validate(); !errors.Is(err, ErrBadInput) {
+			t.Errorf("config %+v: validate error = %v", cfg, err)
+		}
+		if _, err := Localize(clearSky, cfg); !errors.Is(err, ErrBadInput) {
+			t.Errorf("config %+v: Localize error = %v", cfg, err)
+		}
 	}
 	coarse := timeseries.MustNew(ssStart, 2*time.Hour, 360)
 	if _, err := Localize(coarse, DefaultConfig()); !errors.Is(err, ErrBadInput) {

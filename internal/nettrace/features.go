@@ -99,7 +99,7 @@ func ExtractFeatures(cap *Capture, window time.Duration) (map[string][]Features,
 		}
 		slices.SortStableFunc(perm, func(a, b int32) int { return byTime(recs[a], recs[b]) })
 	}
-	fw := featureWalk{start: cap.Start, window: window, byName: make(map[string]*openWindow, 16)}
+	fw := featureWalk{start: cap.Start, window: window, byName: make(map[string]int32, 16)}
 	for k := range recs {
 		i := k
 		if perm != nil {
@@ -107,46 +107,71 @@ func ExtractFeatures(cap *Capture, window time.Duration) (map[string][]Features,
 		}
 		fw.add(&recs[i])
 	}
-	out := make(map[string][]Features, len(fw.devices))
-	for _, d := range fw.devices {
-		fw.close(d)
-		out[d.f.Device] = d.out
+	for d := range fw.devices {
+		fw.close(int32(d))
 	}
-	return out, nil
+	return fw.split(), nil
 }
 
 // featureWalk is ExtractFeatures' state: one open window per device, in
-// first-seen order.
+// first-seen order, and every closed window in closing order.
 type featureWalk struct {
 	start   time.Time
 	window  time.Duration
-	byName  map[string]*openWindow
-	devices []*openWindow
+	byName  map[string]int32 // index into devices
+	devices []openWindow
+	// closed holds the closed windows in fixed-size chunks, so that
+	// collecting them never copies one; split groups them by device.
+	closed [][]closedWindow
+	// gapSlab backs the first gapsCap gaps of each device's windows, one
+	// allocation for every 16 devices.
+	gapSlab []float64
 }
 
-// openWindow is one device's window in progress and its closed windows.
-// f accumulates the open window's counts and volumes; it is open while
-// f.Flows > 0.
+// gapsCap is the gap capacity each device starts with; a window with more
+// flows grows its device's gap slice past the slab.
+const gapsCap = 32
+
+// closedWindowChunk is the length of each chunk of featureWalk.closed.
+const closedWindowChunk = 256
+
+// closedWindow is one summarized window and the index of its device.
+type closedWindow struct {
+	f      Features
+	device int32
+}
+
+// openWindow is one device's window in progress. f accumulates the open
+// window's counts and volumes; it is open while f.Flows > 0.
 type openWindow struct {
 	f         Features
 	w         int       // the open window's index
 	last      time.Time // the open window's latest flow
 	gaps      []float64
 	endpoints map[string]struct{}
-	out       []Features
+	n         int // windows closed so far
 }
 
 // add folds the next record in time order into its device's open window.
 func (fw *featureWalk) add(r *FlowRecord) {
-	d := fw.byName[r.Device]
-	if d == nil {
-		d = &openWindow{f: Features{Device: r.Device}, endpoints: make(map[string]struct{}, 4)}
-		fw.byName[r.Device] = d
-		fw.devices = append(fw.devices, d)
+	di, ok := fw.byName[r.Device]
+	if !ok {
+		di = int32(len(fw.devices))
+		fw.byName[r.Device] = di
+		if len(fw.gapSlab) < gapsCap {
+			fw.gapSlab = make([]float64, 16*gapsCap)
+		}
+		fw.devices = append(fw.devices, openWindow{
+			f:         Features{Device: r.Device},
+			gaps:      fw.gapSlab[:0:gapsCap],
+			endpoints: make(map[string]struct{}, 4),
+		})
+		fw.gapSlab = fw.gapSlab[gapsCap:]
 	}
+	d := &fw.devices[di]
 	w := WindowIndex(fw.start, r.Time, fw.window)
 	if d.f.Flows > 0 && w != d.w {
-		fw.close(d)
+		fw.close(di)
 	}
 	if d.f.Flows == 0 {
 		d.w = w
@@ -162,17 +187,50 @@ func (fw *featureWalk) add(r *FlowRecord) {
 	d.last = r.Time
 }
 
-// close summarizes d's open window, if any, onto d.out and empties it.
-func (fw *featureWalk) close(d *openWindow) {
+// close summarizes device di's open window, if any, onto the closed
+// windows and empties it.
+func (fw *featureWalk) close(di int32) {
+	d := &fw.devices[di]
 	if d.f.Flows == 0 {
 		return
 	}
 	d.f.DistinctEndpoints = len(d.endpoints)
 	summarizeWindow(&d.f, d.gaps, fw.window)
-	d.out = append(d.out, d.f)
+	if n := len(fw.closed); n == 0 || len(fw.closed[n-1]) == closedWindowChunk {
+		fw.closed = append(fw.closed, make([]closedWindow, 0, closedWindowChunk))
+	}
+	last := &fw.closed[len(fw.closed)-1]
+	*last = append(*last, closedWindow{f: d.f, device: di})
+	d.n++
 	d.f = Features{Device: d.f.Device}
 	clear(d.endpoints)
 	d.gaps = d.gaps[:0]
+}
+
+// split groups the closed windows by device into one backing array, each
+// device's windows in closing order, which is time order.
+func (fw *featureWalk) split() map[string][]Features {
+	out := make(map[string][]Features, len(fw.devices))
+	total := 0
+	for i := range fw.devices {
+		total += fw.devices[i].n
+	}
+	slab := make([]Features, total)
+	next := make([]int, len(fw.devices))
+	o := 0
+	for i := range fw.devices {
+		d := &fw.devices[i]
+		out[d.f.Device] = slab[o : o+d.n : o+d.n]
+		next[i] = o
+		o += d.n
+	}
+	for _, chunk := range fw.closed {
+		for _, c := range chunk {
+			slab[next[c.device]] = c.f
+			next[c.device]++
+		}
+	}
+	return out
 }
 
 // summarizeWindow folds one window's gap statistics into f. A single-flow

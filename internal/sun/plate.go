@@ -109,6 +109,12 @@ type Sky struct {
 
 // Sky computes the instant's tilt-independent terms; h must come from
 // HourAngleAt at this site's longitude. It reads no tilt term of s.
+//
+// SunSpot's forward model calls Sky only at the instants that can decide
+// a production window. It picks them with an upper bound on FromSky's
+// output as a function of the zenith cosine, derived from the formulas
+// below (sunspot's skyBound). A change to the irradiance model here must
+// keep that bound valid; sunspot's TestSkyBoundHolds checks it.
 func (s *PlateSite) Sky(te TrigEphemeris, h HourAngle) Sky {
 	// PositionEph body, with Sin/Cos of declination and latitude hoisted.
 	haDeg := h.HaDeg
