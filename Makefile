@@ -4,8 +4,9 @@
 # detector (the RunAll and serve concurrency tests only count as coverage
 # when raced), the per-package coverage floors, a fuzz smoke of the fleet
 # mix parser, of the store's envelope decoder, of the factored FHMM decode
-# against its dense oracle and of SunSpot's bound-pruned forward model
-# against its dense oracle, and the memoird smoke test (random port,
+# against its dense oracle, of SunSpot's bound-pruned forward model
+# against its dense oracle and of the LAN capture's run merge against a
+# stable sort, and the memoird smoke test (random port,
 # /healthz + report probes, cache-hit verification, clean shutdown).
 
 GO ?= go
@@ -116,15 +117,17 @@ cover-cmd:
 		fi; \
 	done
 
-# fuzz runs four native fuzz targets, each for FUZZTIME: the two parsers
+# fuzz runs five native fuzz targets, each for FUZZTIME: the two parsers
 # of untrusted input — the fleet mix parser (against the checked-in corpus
 # under internal/fleet/testdata/fuzz/), then the store's envelope decoder,
-# the only reader of on-disk bytes — and two kernels against their dense
+# the only reader of on-disk bytes — and three kernels against their
 # oracles: the factored FHMM decode, whose paths and scores must equal the
 # dense oracle's bit for bit on models and observations (NaN, ±Inf,
-# ±1e300 among them) built from the input, and SunSpot's bound-pruned
+# ±1e300 among them) built from the input, SunSpot's bound-pruned
 # forward model, whose windows must equal the every-step model's exactly
-# at a day, latitude and threshold decoded from the input. Any
+# at a day, latitude and threshold decoded from the input, and the LAN
+# capture's run merge, whose order must equal a stable sort by time on
+# heavily tied records decoded from the input. Any
 # crasher is written back under the package's testdata/fuzz/ as a failing
 # seed, so a red `make fuzz` leaves a reproducer behind.
 fuzz:
@@ -132,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreEntry$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorialDecode$$' -fuzztime $(FUZZTIME) ./internal/hmm
 	$(GO) test -run '^$$' -fuzz '^FuzzModelWindows$$' -fuzztime $(FUZZTIME) ./internal/attack/sunspot
+	$(GO) test -run '^$$' -fuzz '^FuzzSortByTime$$' -fuzztime $(FUZZTIME) ./internal/nettrace
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -143,19 +143,57 @@ func (m *Monitor) Scan(cap *nettrace.Capture) ([]Alert, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	// Count unknown-endpoint flows per device window.
-	unknownByDevWin := map[string]map[int]int{}
-	totalByDevWin := map[string]map[int]int{}
-	for _, r := range cap.Records {
-		w := nettrace.WindowIndex(cap.Start, r.Time, m.cfg.Window)
-		p, known := m.profiles[r.Device]
-		if totalByDevWin[r.Device] == nil {
-			totalByDevWin[r.Device] = map[int]int{}
-			unknownByDevWin[r.Device] = map[int]int{}
+	// Count all and unknown-endpoint flows per device window: device i's
+	// windows [0, n) of the capture span live at counts[i*n : (i+1)*n], as
+	// Shape's vols do. Records outside the span (a hand-built capture can
+	// hold them) are counted in outside.
+	type winCount struct{ total, unknown int }
+	type devWin struct {
+		dev int
+		w   int
+	}
+	n := 0
+	if cap.End.After(cap.Start) {
+		n = nettrace.WindowIndex(cap.Start, cap.End, m.cfg.Window) + 1
+	}
+	devIdx := make(map[string]int, len(cap.Devices))
+	var endpoints []map[string]bool // per device; nil without a profile
+	addDev := func(name string) int {
+		i, ok := devIdx[name]
+		if !ok {
+			i = len(endpoints)
+			devIdx[name] = i
+			endpoints = append(endpoints, m.profiles[name].endpoints)
 		}
-		totalByDevWin[r.Device][w]++
-		if !known || !p.endpoints[r.Endpoint] {
-			unknownByDevWin[r.Device][w]++
+		return i
+	}
+	for _, d := range cap.Devices {
+		addDev(d.Name)
+	}
+	counts := make([]winCount, len(endpoints)*n)
+	outside := map[devWin]*winCount{}
+	countAt := func(di, w int) *winCount {
+		if w >= 0 && w < n {
+			return &counts[di*n+w]
+		}
+		c := outside[devWin{di, w}]
+		if c == nil {
+			c = &winCount{}
+			outside[devWin{di, w}] = c
+		}
+		return c
+	}
+	for i := range cap.Records {
+		r := &cap.Records[i]
+		di := addDev(r.Device)
+		if (di+1)*n > len(counts) {
+			// A device seen only in records, never declared: extend the slab.
+			counts = append(counts, make([]winCount, n)...)
+		}
+		c := countAt(di, nettrace.WindowIndex(cap.Start, r.Time, m.cfg.Window))
+		c.total++
+		if !endpoints[di][r.Endpoint] {
+			c.unknown++
 		}
 	}
 
@@ -173,8 +211,8 @@ func (m *Monitor) Scan(cap *nettrace.Capture) ([]Alert, error) {
 		}
 		streak := 0
 		for _, f := range fs {
-			w := nettrace.WindowIndex(cap.Start, f.WindowStart, m.cfg.Window)
-			score, reasons := m.score(p, f, unknownByDevWin[dev][w], totalByDevWin[dev][w])
+			c := countAt(devIdx[dev], nettrace.WindowIndex(cap.Start, f.WindowStart, m.cfg.Window))
+			score, reasons := m.score(p, f, c.unknown, c.total)
 			if score >= m.cfg.ScoreThreshold {
 				streak++
 				if streak >= m.cfg.ConsecutiveWindows {

@@ -113,6 +113,48 @@ func TestScanFlagsUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestScanCountsOutsideSpanAndUndeclared: a hand-built capture can hold
+// records before its Start and records of a device it does not declare.
+// Both are still counted per window, so two windows of flows to an unknown
+// endpoint quarantine the device at the second, inside or outside the span.
+func TestScanCountsOutsideSpanAndUndeclared(t *testing.T) {
+	cfg := nettrace.DefaultConfig(5)
+	cfg.Days = 1
+	cfg.Counts = map[nettrace.Class]int{nettrace.ClassHub: 1}
+	clean, err := nettrace.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := LearnProfiles(clean, DefaultMonitorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clean.End
+	rec := func(off time.Duration, endpoint string) nettrace.FlowRecord {
+		return nettrace.FlowRecord{Time: start.Add(off), Device: "hub-01", Endpoint: endpoint, BytesUp: 100, BytesDown: 100}
+	}
+	known := clean.Records[0].Endpoint
+	for _, tc := range []struct {
+		name string
+		recs []nettrace.FlowRecord
+		want time.Time
+	}{
+		{"before start", []nettrace.FlowRecord{rec(-15*time.Minute, "evil.example"), rec(-5*time.Minute, "evil.example"), rec(time.Minute, known)},
+			start.Add(-10 * time.Minute)},
+		{"inside span", []nettrace.FlowRecord{rec(time.Minute, known), rec(21*time.Minute, "evil.example"), rec(31*time.Minute, "evil.example")},
+			start.Add(30 * time.Minute)},
+	} {
+		victim := &nettrace.Capture{Start: start, End: start.Add(time.Hour), Records: tc.recs}
+		alerts, err := mon.Scan(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(alerts) != 1 || alerts[0].Device != "hub-01" || !alerts[0].At.Equal(tc.want) {
+			t.Errorf("%s: alerts = %+v, want hub-01 at %v", tc.name, alerts, tc.want)
+		}
+	}
+}
+
 func TestShapeDefeatsFingerprinting(t *testing.T) {
 	lab := func() *nettrace.Capture {
 		cfg := nettrace.DefaultConfig(6)

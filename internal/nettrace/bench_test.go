@@ -7,12 +7,11 @@ import (
 	"privmem/internal/home"
 )
 
-// BenchmarkExtractFeatures measures feature extraction over the capture
-// the §IV gateway's detection leg scans (t9 at the default seed 42): three
-// days of the default home, coupled to a simulated household's activity,
-// with a camera exfiltrating, a plug scanning and a bulb in a botnet from
-// hour 30, bucketed into the monitor's 10-minute windows.
-func BenchmarkExtractFeatures(b *testing.B) {
+// t9CompromisedConfig is the capture the §IV gateway's detection leg scans
+// (t9 at the default seed 42): three days of the default home, coupled to
+// a simulated household's activity, with a camera exfiltrating, a plug
+// scanning and a bulb in a botnet from hour 30.
+func t9CompromisedConfig(b *testing.B) Config {
 	const seed = 42
 	hcfg := home.DefaultConfig(seed + 21)
 	hcfg.Days = 3
@@ -29,7 +28,26 @@ func BenchmarkExtractFeatures(b *testing.B) {
 		{Device: "smart-plug-03", At: at, Kind: CompromiseScan},
 		{Device: "bulb-05", At: at, Kind: CompromiseBot},
 	}
-	cap, err := Simulate(cfg)
+	return cfg
+}
+
+// BenchmarkSimulate measures building t9's compromised capture, sort
+// included.
+func BenchmarkSimulate(b *testing.B) {
+	cfg := t9CompromisedConfig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExtractFeatures measures feature extraction over t9's
+// compromised capture, bucketed into the monitor's 10-minute windows.
+func BenchmarkExtractFeatures(b *testing.B) {
+	cap, err := Simulate(t9CompromisedConfig(b))
 	if err != nil {
 		b.Fatal(err)
 	}

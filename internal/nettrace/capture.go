@@ -1,11 +1,10 @@
 package nettrace
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"privmem/internal/timeseries"
@@ -118,7 +117,10 @@ func DefaultConfig(seed int64) Config {
 
 // Capture is a simulated LAN trace with ground truth.
 type Capture struct {
-	// Records are flow observations sorted by time.
+	// Records are flow observations sorted by time. Simulate's sort is
+	// stable: records with the same timestamp keep their generation order,
+	// which is the device order of Devices and, within a device,
+	// heartbeats, then events, then compromise traffic.
 	Records []FlowRecord
 	// Devices lists every device with its true class.
 	Devices []Device
@@ -158,16 +160,30 @@ func SimulateLab(seed int64) (*Capture, error) {
 	return Simulate(cfg)
 }
 
+// maxDays is the longest capture whose span fits in a time.Duration.
+const maxDays = int(math.MaxInt64 / int64(24*time.Hour))
+
 // Simulate generates the LAN capture.
 func Simulate(cfg Config) (*Capture, error) {
-	if cfg.Days <= 0 {
+	cap, err := generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sortByTime(cap.Records)
+	return cap, nil
+}
+
+// generate validates cfg and renders the capture in generation order: the
+// devices in the order of Devices, each device's heartbeats, then its
+// events, then its compromise traffic, each in time order.
+func generate(cfg Config) (*Capture, error) {
+	if cfg.Days <= 0 || cfg.Days > maxDays {
 		return nil, fmt.Errorf("%w: days %d", ErrBadConfig, cfg.Days)
 	}
 	if len(cfg.Counts) == 0 {
 		return nil, fmt.Errorf("%w: no devices", ErrBadConfig)
 	}
 	profiles := Profiles()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	cap := &Capture{Start: cfg.Start, End: end}
 
@@ -191,13 +207,16 @@ func Simulate(cfg Config) (*Capture, error) {
 		if cmp.Kind < CompromiseScan || cmp.Kind > CompromiseBot {
 			return nil, fmt.Errorf("%w: compromise kind %d", ErrBadConfig, cmp.Kind)
 		}
+		if _, dup := compromised[cmp.Device]; dup {
+			return nil, fmt.Errorf("%w: device %q compromised twice", ErrBadConfig, cmp.Device)
+		}
 		compromised[cmp.Device] = cmp
 	}
 
-	// Preallocate the record slab from the expected benign volume
-	// (heartbeat cadence plus event rate per device); growth reallocation
-	// during the append loops was the simulation's dominant allocator churn.
-	// Compromise traffic still appends past the estimate when scheduled.
+	// Preallocate the record slab from the expected volume (heartbeat
+	// cadence plus event rate per device, plus each compromise's mean
+	// cadence); growth reallocation during the append loops was the
+	// simulation's dominant allocator churn.
 	est := 0
 	dur := end.Sub(cfg.Start)
 	for _, dev := range cap.Devices {
@@ -206,6 +225,9 @@ func Simulate(cfg Config) (*Capture, error) {
 			est += int(dur/p.HeartbeatPeriod) + 1
 		}
 		est += int(float64(cfg.Days) * 24 * p.EventRatePerHour)
+	}
+	for _, cmp := range cfg.Compromises {
+		est += expectedCompromiseRecords(cmp.Kind, end.Sub(cmp.At))
 	}
 	cap.Records = make([]FlowRecord, 0, est+est/8)
 
@@ -217,49 +239,102 @@ func Simulate(cfg Config) (*Capture, error) {
 			simulateCompromise(cap, dev, cmp, end, devRng)
 		}
 	}
-	_ = rng
-
-	sortByTime(cap.Records)
 	return cap, nil
 }
 
-// sortByTime orders records by Time exactly as
-//
-//	sort.Slice(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
-//
-// does, tied timestamps included, without moving 72-byte records through
-// the sort. slices.SortFunc and sort.Slice are generated from one pdqsort
-// template (sort/gen_sort_variants.go), so sorting 16-byte (time, index)
-// keys with the same comparison yields the same permutation; the records
-// are then permuted in place by following its cycles.
+// expectedCompromiseRecords is the mean number of records simulateCompromise
+// emits for kind k over a span d, from each loop's mean cadence.
+func expectedCompromiseRecords(k CompromiseKind, d time.Duration) int {
+	s := max(d.Seconds(), 0)
+	switch k {
+	case CompromiseScan:
+		return int(s / 4.5) // one probe every 2–7 s
+	case CompromiseExfil:
+		return int(s / 29.5) // one upload every 20–39 s
+	case CompromiseBot:
+		return int(s * 240 / (38.5 * 60)) // 2–6 min bursts at 1/s, 10–59 min apart
+	}
+	return 0
+}
+
+// sortByTime stably orders records by Time: tied timestamps keep their
+// input order. Simulate appends each device's heartbeats, events and
+// compromise traffic in time order, so the records already fall into a few
+// maximal non-decreasing runs (76 for a benign 38-device capture: one for
+// each device's heartbeats and one for its events). The
+// runs are found by scanning, their keys are merged through a heap of run
+// heads into an order array (a tie goes to the lower index, so the merge
+// is stable), and the 72-byte records are then permuted in place by
+// following the order's cycles. Keys are offsets from the first record,
+// exact while every record lies within a time.Duration of it, which
+// Simulate's bound on Days guarantees.
 func sortByTime(recs []FlowRecord) {
-	type key struct {
-		sec  int64
-		nsec int32
-		idx  int32
+	if len(recs) < 2 {
+		return
 	}
-	keys := make([]key, len(recs))
+	base := recs[0].Time
+	keys := make([]int64, len(recs))
 	for i := range recs {
-		t := recs[i].Time
-		keys[i] = key{sec: t.Unix(), nsec: int32(t.Nanosecond()), idx: int32(i)}
+		keys[i] = int64(recs[i].Time.Sub(base))
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.sec, b.sec); c != 0 {
-			return c
+	// heads[k] is run k's next unmerged index and its end.
+	type head struct{ next, end int32 }
+	var heads []head
+	start := 0
+	for i := 1; i <= len(keys); i++ {
+		if i == len(keys) || keys[i] < keys[i-1] {
+			heads = append(heads, head{int32(start), int32(i)})
+			start = i
 		}
-		return cmp.Compare(a.nsec, b.nsec)
-	})
-	// Position i takes the record at keys[i].idx. Each cycle is rotated
-	// once; a placed position is marked by pointing its key at itself.
-	for i := range keys {
-		if int(keys[i].idx) == i {
+	}
+	if len(heads) == 1 {
+		return
+	}
+	less := func(a, b head) bool {
+		ka, kb := keys[a.next], keys[b.next]
+		return ka < kb || ka == kb && a.next < b.next
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heads) {
+				return
+			}
+			if c+1 < len(heads) && less(heads[c+1], heads[c]) {
+				c++
+			}
+			if !less(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	order := make([]int32, len(recs))
+	for o := range order {
+		h := &heads[0]
+		order[o] = h.next
+		h.next++
+		if h.next == h.end {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	// Position i takes the record at order[i]. Each cycle is rotated once;
+	// a placed position is marked by pointing its order entry at itself.
+	for i := range order {
+		if int(order[i]) == i {
 			continue
 		}
 		r := recs[i]
 		j := i
 		for {
-			src := int(keys[j].idx)
-			keys[j].idx = int32(j)
+			src := int(order[j])
+			order[j] = int32(j)
 			if src == i {
 				recs[j] = r
 				break

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privmem/internal/loads"
+	"privmem/internal/nettrace"
 )
 
 func TestEnergyWorldEndToEnd(t *testing.T) {
@@ -301,6 +302,15 @@ func TestNetworkWorldEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNewNetworkWorldRejectsOverflowingDays: a Days whose span overflows
+// time.Duration is a config error, not a makeslice panic, through the
+// facade as through nettrace.Simulate.
+func TestNewNetworkWorldRejectsOverflowingDays(t *testing.T) {
+	if _, err := NewNetworkWorld(1, 200000, nil); !errors.Is(err, nettrace.ErrBadConfig) {
+		t.Fatalf("NewNetworkWorld(1, 200000, nil) error = %v, want nettrace.ErrBadConfig", err)
+	}
+}
+
 func TestRunExperimentRegistry(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) != 16 {
@@ -429,7 +439,7 @@ func TestFacadeWorldsGolden(t *testing.T) {
 				h.capture(w.Lab)
 			}
 			return err
-		}, "469c01a2c7ae1411"},
+		}, "9f0cf8041c20f3db"},
 		{"solar", func(h goldenHash) error {
 			w, err := NewSolarWorld(42, 3)
 			if err != nil {
