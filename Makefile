@@ -2,18 +2,23 @@
 # vet (of the main module and of the perfbench harness module), the
 # privmemvet analyzer suite (lint), build, the full test suite under the race
 # detector (the RunAll and serve concurrency tests only count as coverage
-# when raced), the per-package coverage floors, a fuzz smoke of the fleet
-# mix parser, of the store's envelope decoder, of the factored FHMM decode
-# against its dense oracle, of SunSpot's bound-pruned forward model
-# against its dense oracle and of the LAN capture's run merge against a
-# stable sort, and the memoird smoke test (random port,
-# /healthz + report probes, cache-hit verification, clean shutdown).
+# when raced), the per-package coverage floors (run without the race
+# detector, so the allocation-ceiling tests that race builds skip gate
+# there), a fuzz smoke of the fleet mix parser, of the store's envelope
+# decoder, of the factored FHMM decode against its dense oracle, of
+# SunSpot's bound-pruned forward model against its dense oracle and of the
+# LAN capture's run merge against a stable sort, the memoird smoke test
+# (random port, /healthz + report probes, cache-hit verification, clean
+# shutdown), a one-second load through memoirload and a small fleet run
+# through memoirctl. perfbench (BENCHMARK.json) is the one benchmark
+# surface; `make bench` runs the `go test -bench` functions for local
+# measurement only.
 
 GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 70
-COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./cmd/benchjson ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot ./internal/solarsim ./internal/home ./internal/attack/nilm ./internal/par
+COVER_PKGS ?= ./internal/timeseries ./internal/meter ./internal/serve ./internal/attack/fingerprint ./internal/defense/stp ./internal/fleet ./internal/hmm ./internal/analysis ./internal/metrics ./internal/nettrace ./internal/attack/niom ./internal/attack/sunspot ./internal/solarsim ./internal/home ./internal/attack/nilm ./internal/par
 
 # Second coverage tier: the daemon/load-generator mains are signal/listen
 # plumbing that only an end-to-end run exercises, so they carry a lower
@@ -26,9 +31,9 @@ COVER_PKGS_CMD ?= ./cmd/memoird ./cmd/memoirload
 # longer local hunt, e.g. `make fuzz FUZZTIME=10m`.
 FUZZTIME ?= 30s
 
-.PHONY: check vet perfbench-vet lint lint-stats build test race short golden cover cover-cmd fuzz bench bench-serve bench-experiments bench-armsrace bench-fleet bench-diff bench-all bench-load figures smoke smoke-load smoke-fleet memoird
+.PHONY: check vet perfbench-vet lint build test race short golden cover cover-cmd fuzz bench figures smoke smoke-load smoke-fleet memoird
 
-check: vet perfbench-vet lint build race golden cover fuzz smoke smoke-load smoke-fleet bench-diff
+check: vet perfbench-vet lint build race golden cover fuzz smoke smoke-load smoke-fleet
 
 vet:
 	$(GO) vet ./...
@@ -60,12 +65,6 @@ bin/privmemvet: $(PRIVMEMVET_SRC)
 # and §13.
 lint: bin/privmemvet
 	./bin/privmemvet ./...
-
-# lint-stats snapshots per-analyzer finding counts and wall-time as the
-# BENCH_lint.json trajectory, so analyzer cost is tracked like every other
-# perf surface.
-lint-stats: bin/privmemvet
-	./bin/privmemvet -stats ./... | $(GO) run ./cmd/benchjson > BENCH_lint.json
 
 build:
 	$(GO) build ./...
@@ -140,59 +139,6 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# bench-serve snapshots the report-cache benchmarks as machine-readable
-# JSON (BENCH_serve.json) for cross-PR comparison.
-bench-serve:
-	$(GO) test -bench 'BenchmarkReportCache' -benchmem -run '^$$' ./internal/serve \
-		| $(GO) run ./cmd/benchjson > BENCH_serve.json
-
-# bench-experiments snapshots the per-experiment benchmarks (one per
-# reproduced figure/table plus the RunAll suite, with their headline-metric
-# columns) and the kernel benchmarks as BENCH_experiments.json — the
-# harness's cross-PR performance trajectory. The hmm, nettrace and solarsim
-# packages ride along so the bench-diff allocs/op guard covers the FHMM
-# decode and training kernels, feature extraction and grid generation.
-bench-experiments:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
-		| $(GO) run ./cmd/benchjson > BENCH_experiments.json
-
-# bench-armsrace snapshots the adaptive-adversary matrix benchmark (with
-# its retraining-advantage headline metrics) as BENCH_armsrace.json.
-bench-armsrace:
-	$(GO) test -bench 'BenchmarkArmsRace' -benchmem -run '^$$' . \
-		| $(GO) run ./cmd/benchjson > BENCH_armsrace.json
-
-# bench-fleet snapshots the fleet streaming benchmark (homes/sec, bytes/home,
-# and per-capita leakage-latency headline columns) as BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -bench 'BenchmarkFleet' -benchmem -run '^$$' ./internal/fleet \
-		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
-
-# bench-diff re-runs the experiment benchmarks and compares against the
-# checked-in BENCH_experiments.json trajectory. It must use the same
-# benchtime as the snapshot: a -benchtime 1x run measures the cold
-# first-touch path (world builds included), which the warm steady-state
-# baseline would always flag. Warn-only by default (the leading "-"):
-# timings are noisy, so drift is surfaced in the log without failing the
-# gate. Setting BENCH_FAIL_PCT turns the comparison into a hard gate:
-# `make bench-diff BENCH_FAIL_PCT=40` fails on any benchmark more than 40%
-# slower than its snapshot (or past the allocs/op guard). `make check`
-# leaves it unset.
-BENCH_FAIL_PCT ?=
-ifneq ($(BENCH_FAIL_PCT),)
-bench-diff:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
-		| $(GO) run ./cmd/benchjson -diff BENCH_experiments.json -fail-pct $(BENCH_FAIL_PCT)
-else
-bench-diff:
-	-$(GO) test -bench . -benchmem -run '^$$' . ./internal/hmm ./internal/nettrace ./internal/solarsim \
-		| $(GO) run ./cmd/benchjson -diff BENCH_experiments.json
-endif
-
-# bench-all regenerates every checked-in benchmark snapshot in one pass —
-# the five BENCH_*.json trajectory files a perf PR should refresh together.
-bench-all: bench-experiments bench-serve bench-armsrace bench-fleet bench-load
-
 figures:
 	$(GO) run ./cmd/figures
 
@@ -211,16 +157,6 @@ smoke-load:
 # renderer against a real (if tiny) fleet.
 smoke-fleet:
 	$(GO) run ./cmd/memoirctl fleet -homes 300 -workers 3 -days 2 -quick -mix family:0.5,apartment:0.3,cottage:0.2
-
-# bench-load snapshots the serving tier's latency distribution under a
-# Zipf-shaped open-loop load as BENCH_load.json (p50/p95/p99 columns via
-# the shared log2 histogram). -warm primes every key first so the timed
-# window measures the steady cache-dominated state the tier is designed
-# for, with the long Zipf tail still forcing some generation traffic.
-bench-load:
-	$(GO) run ./cmd/memoirload -selfserve -duration 5s -rps 200 \
-		-experiments t6,f1,f2 -seeds 20 -warm \
-		| $(GO) run ./cmd/benchjson > BENCH_load.json
 
 memoird:
 	$(GO) run ./cmd/memoird

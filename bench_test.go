@@ -149,7 +149,7 @@ func BenchmarkArmsRace(b *testing.B) {
 // The sub-benchmarks carry fixed names ("serial", "parallel") with the
 // worker count as a reported metric: the old workers=%d naming collided on
 // single-CPU hosts (both subs became workers=1, deduped by the testing
-// package to workers=1#01), which broke benchjson run-to-run diffing.
+// package to workers=1#01), so a benchmark's name changed with the host.
 func BenchmarkRunAll(b *testing.B) {
 	ids := experiments.IDs()
 	opts := experiments.Options{Quick: true, Seed: 42}

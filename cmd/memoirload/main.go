@@ -4,10 +4,7 @@
 // queueing collapse closed-loop generators hide), draws the request
 // population from a Zipf distribution over experiment×seed (a few hot
 // reports, a long cold tail, like real dashboard traffic), and reports the
-// latency distribution as one `go test -bench`-style line that
-// cmd/benchjson turns into JSON:
-//
-//	memoirload -selfserve -duration 5s -rps 200 | benchjson > BENCH_load.json
+// latency distribution as one `go test -bench`-style line.
 //
 // Usage:
 //
@@ -73,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warm      = fs.Bool("warm", false, "request every key once, untimed, before the run")
 		seed      = fs.Int64("seed", 1, "generator seed for the arrival schedule")
 		reqTO     = fs.Duration("request-timeout", 30*time.Second, "per-request client timeout")
-		name      = fs.String("name", "BenchmarkMemoirLoad", "benchmark name on the output line")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	meanNs := hist.Sum() * 1000 / n
 	achieved := float64(len(targets)) / duration.Seconds()
-	fmt.Fprintf(stdout, "%s \t%d \t%d ns/op \t%d p50-us \t%d p95-us \t%d p99-us \t%.1f rps \t%d errors\n",
-		*name, n, meanNs,
+	fmt.Fprintf(stdout, "BenchmarkMemoirLoad \t%d \t%d ns/op \t%d p50-us \t%d p95-us \t%d p99-us \t%.1f rps \t%d errors\n",
+		n, meanNs,
 		hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99),
 		achieved, errCount)
 	return 0

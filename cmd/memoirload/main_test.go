@@ -27,7 +27,7 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestRunAgainstFakeDaemon drives a full load run against an instant fake
-// memoird and checks the benchjson-consumable output line.
+// memoird and checks the one-line report.
 func TestRunAgainstFakeDaemon(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

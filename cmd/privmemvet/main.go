@@ -11,7 +11,6 @@
 //	privmemvet file.go                    # ad-hoc file: every analyzer, no scoping
 //	privmemvet -list                      # print the analyzer inventory and scopes
 //	privmemvet -json ./...                # structured findings (incl. suppressed)
-//	privmemvet -stats ./...               # per-analyzer counts + wall-time (benchjson)
 //
 // Analyzer scoping: detrand runs only on deterministic packages (the
 // simulators, attacks, defenses, experiments — not serve/cmd, where
@@ -48,9 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"privmem/internal/analysis"
 	"privmem/internal/analysis/atomicmix"
@@ -128,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzer inventory and scopes")
 	asJSON := fs.Bool("json", false, "emit findings as JSON (including suppressed ones, with their allow reasons)")
-	stats := fs.Bool("stats", false, "print per-analyzer finding counts and wall-time in go-bench format")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -148,22 +144,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	start := time.Now()
-	res, err := vet(".", patterns, checks)
+	diags, err := vet(".", patterns, checks)
 	if err != nil {
 		fmt.Fprintf(stderr, "privmemvet: %v\n", err)
 		return 2
 	}
-	res.wall = time.Since(start)
-
-	switch {
-	case *stats:
-		return emitStats(stdout, res)
-	case *asJSON:
-		return emitJSON(stdout, res)
+	if *asJSON {
+		return emitJSON(stdout, diags)
 	}
 	n := 0
-	for _, d := range res.diags {
+	for _, d := range diags {
 		if !d.Suppressed {
 			fmt.Fprintln(stdout, d)
 			n++
@@ -176,29 +166,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// result is one vet run's full output: every diagnostic (suppressed ones
-// included) plus per-analyzer cumulative run times.
-type result struct {
-	diags   []analysis.Diagnostic
-	timings map[string]time.Duration
-	wall    time.Duration
-}
-
-// vet loads the packages matching patterns and applies each analyzer in
-// its scope, analyzing packages concurrently (bounded by GOMAXPROCS).
-// Ad-hoc file packages (go list's command-line-arguments) get the full
-// suite: they exist to demonstrate analyzers firing. When the loaded
-// universe includes the experiments package, the interprocedural
-// deterministic certifier runs over the whole universe afterward; when
-// ./... is linted at the module root, so does deadexport, with perfbench
-// loaded beside it.
-func vet(dir string, patterns []string, checks []scoped) (*result, error) {
+// vet loads the packages matching patterns and returns every diagnostic
+// (suppressed ones included) of each analyzer applied in its scope,
+// analyzing packages concurrently (bounded by GOMAXPROCS). Ad-hoc file
+// packages (go list's command-line-arguments) get the full suite: they
+// exist to demonstrate analyzers firing. When the loaded universe
+// includes the experiments package, the interprocedural deterministic
+// certifier runs over the whole universe afterward; when ./... is linted
+// at the module root, so does deadexport, with perfbench loaded beside
+// it.
+func vet(dir string, patterns []string, checks []scoped) ([]analysis.Diagnostic, error) {
 	pkgs, err := analysis.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	diags := make([][]analysis.Diagnostic, len(pkgs))
-	timings := make([]map[string]time.Duration, len(pkgs))
+	perPkg := make([][]analysis.Diagnostic, len(pkgs))
 	err = par.For(len(pkgs), func(i int) error {
 		var active []*analysis.Analyzer
 		for _, c := range checks {
@@ -207,35 +189,28 @@ func vet(dir string, patterns []string, checks []scoped) (*result, error) {
 			}
 		}
 		var err error
-		diags[i], timings[i], err = analysis.RunAnalyzersDetailed(pkgs[i], active)
+		perPkg[i], err = analysis.RunAnalyzers(pkgs[i], active)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &result{timings: map[string]time.Duration{}}
-	for i := range pkgs {
-		res.diags = append(res.diags, diags[i]...)
-		for name, d := range timings[i] {
-			res.timings[name] += d
-		}
+	var diags []analysis.Diagnostic
+	for _, d := range perPkg {
+		diags = append(diags, d...)
 	}
 	if findPackage(pkgs, "privmem/internal/experiments") != nil {
-		start := time.Now()
-		res.diags = append(res.diags, determ.Certify(pkgs)...)
-		res.timings["deterministic"] = time.Since(start)
+		diags = append(diags, determ.Certify(pkgs)...)
 	}
 	if facade := findPackage(pkgs, "privmem"); facade != nil && len(patterns) == 1 && patterns[0] == "./..." {
 		second, err := analysis.Load(filepath.Join(facade.Dir, "perfbench"), patterns)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		res.diags = append(res.diags, deadexport.Check("privmem", pkgs, second)...)
-		res.timings[deadexport.Name] = time.Since(start)
+		diags = append(diags, deadexport.Check("privmem", pkgs, second)...)
 	}
-	analysis.SortDiagnostics(res.diags)
-	return res, nil
+	analysis.SortDiagnostics(diags)
+	return diags, nil
 }
 
 func findPackage(pkgs []*analysis.Package, path string) *analysis.Package {
@@ -286,8 +261,8 @@ func toJSONDiags(diags []analysis.Diagnostic) []jsonDiag {
 // emitJSON prints every diagnostic — suppressed ones included, so the
 // output doubles as the tree's allow/trust inventory. Exit mirrors the
 // plain mode: 1 if any unsuppressed finding exists.
-func emitJSON(stdout io.Writer, res *result) int {
-	out := toJSONDiags(res.diags)
+func emitJSON(stdout io.Writer, diags []analysis.Diagnostic) int {
+	out := toJSONDiags(diags)
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(out) //lint:allow errpath stdout encode of already-validated structs cannot fail meaningfully
@@ -296,40 +271,5 @@ func emitJSON(stdout io.Writer, res *result) int {
 			return 1
 		}
 	}
-	return 0
-}
-
-// emitStats prints one go-bench-format line per analyzer plus a total, so
-// `privmemvet -stats ./... | benchjson` yields the BENCH_lint.json
-// trajectory: per-analyzer findings/suppressions as custom metrics and
-// analysis time as ns/op.
-func emitStats(stdout io.Writer, res *result) int {
-	counts := map[string]int{}
-	suppressed := map[string]int{}
-	for _, d := range res.diags {
-		if d.Suppressed {
-			suppressed[d.Analyzer]++
-		} else {
-			counts[d.Analyzer]++
-		}
-	}
-	names := make([]string, 0, len(res.timings))
-	for name := range res.timings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(stdout, "BenchmarkLint/%s 1 %d ns/op %d findings %d suppressed\n",
-			name, res.timings[name].Nanoseconds(), counts[name], suppressed[name])
-	}
-	var total, totalSup int
-	for _, n := range counts {
-		total += n
-	}
-	for _, n := range suppressed {
-		totalSup += n
-	}
-	fmt.Fprintf(stdout, "BenchmarkLint/total 1 %d ns/op %d findings %d suppressed\n",
-		res.wall.Nanoseconds(), total, totalSup)
 	return 0
 }

@@ -54,7 +54,7 @@ func TestScopePredicates(t *testing.T) {
 		{seedflowScope, "privmem/internal/fleet", true},
 		{seedflowScope, "privmem/internal/home", false},
 		{errpathScope, "privmem/internal/serve", true},
-		{errpathScope, "privmem/cmd/benchjson", true},
+		{errpathScope, "privmem/cmd/memoirload", true},
 		{errpathScope, "privmem/internal/home", false},
 	}
 	for _, c := range cases {
@@ -64,10 +64,9 @@ func TestScopePredicates(t *testing.T) {
 	}
 }
 
-// The scratch fixture drives the structured-output modes: -json must carry
-// every finding with analyzer and file, and -stats must emit
-// benchjson-parseable lines.
-func TestJSONAndStats(t *testing.T) {
+// The scratch fixture drives the structured-output mode: -json must carry
+// every finding with analyzer and file.
+func TestJSON(t *testing.T) {
 	scratch := "../../internal/analysis/testdata/scratch/scratch.go"
 
 	var jsonOut, stderr bytes.Buffer
@@ -80,20 +79,5 @@ func TestJSONAndStats(t *testing.T) {
 	}
 	if len(diags) != 9 {
 		t.Errorf("-json carries %d findings, want 9 (one per analyzer)", len(diags))
-	}
-
-	var statsOut bytes.Buffer
-	if code := run([]string{"-stats", scratch}, &statsOut, &stderr); code != 0 {
-		t.Fatalf("-stats exit = %d\n%s", code, stderr.String())
-	}
-	for _, line := range strings.Split(strings.TrimSpace(statsOut.String()), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 8 || !strings.HasPrefix(fields[0], "BenchmarkLint/") ||
-			fields[3] != "ns/op" || fields[5] != "findings" || fields[7] != "suppressed" {
-			t.Errorf("-stats line not benchjson-shaped: %q", line)
-		}
-	}
-	if !strings.Contains(statsOut.String(), "BenchmarkLint/total ") {
-		t.Errorf("-stats missing the total line:\n%s", statsOut.String())
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
 // Analyzer is one static check. Run inspects a single type-checked package
@@ -75,16 +74,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzersDetailed applies each analyzer to pkg and returns every
-// diagnostic, sorted by position so output is stable across runs. Findings
-// a well-formed //lint:allow comment silences come back marked Suppressed
+// RunAnalyzers applies each analyzer to pkg and returns every diagnostic,
+// sorted by position so output is stable across runs. Findings a
+// well-formed //lint:allow comment silences come back marked Suppressed
 // with the allow's reason attached; malformed allows (missing analyzer
-// name or reason) are themselves reported. The second result maps each
-// analyzer name to its cumulative run time in this package — the raw
-// material for `privmemvet -stats`.
-func RunAnalyzersDetailed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration, error) {
+// name or reason) are themselves reported.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	timings := make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -94,17 +90,14 @@ func RunAnalyzersDetailed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, ma
 			TypesInfo: pkg.Info,
 			diags:     &diags,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		timings[a.Name] += time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.ImportPath, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.ImportPath, err)
 		}
 	}
 	sup := collectSuppressions(pkg.Fset, pkg.Files)
 	diags = sup.annotate(diags)
 	SortDiagnostics(diags)
-	return diags, timings, nil
+	return diags, nil
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, then analyzer

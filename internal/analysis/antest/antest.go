@@ -48,7 +48,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("antest: loading fixture %s: %v", dir, err)
 	}
-	diags, _, err := analysis.RunAnalyzersDetailed(pkg, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("antest: running %s on %s: %v", a.Name, dir, err)
 	}

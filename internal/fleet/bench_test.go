@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkFleetStreaming measures the fleet run end to end at a small
-// population and reports the headline columns the BENCH_fleet.json snapshot
-// tracks: ingest throughput in homes/sec, live bytes/home, and the median
-// per-home NIOM accuracy as the leakage signal's sanity anchor. Timing uses
+// population and reports its headline columns: ingest throughput in
+// homes/sec, live bytes/home, and the median per-home NIOM accuracy as the
+// leakage signal's sanity anchor. Timing uses
 // b.Elapsed, never wall-clock reads inside the library (the library result
 // must stay a pure function of the spec).
 func BenchmarkFleetStreaming(b *testing.B) {

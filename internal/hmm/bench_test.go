@@ -5,11 +5,22 @@ import (
 	"testing"
 )
 
+// viterbiInput is a two-state model and a day of minutes drawn from it.
+func viterbiInput() (*Model, []float64) {
+	m := twoStateModel()
+	_, obs := sampleModel(rand.New(rand.NewSource(1)), m, 1440)
+	return m, obs
+}
+
+// trainInput is 2000 samples of the two-state model.
+func trainInput() []float64 {
+	_, obs := sampleModel(rand.New(rand.NewSource(2)), twoStateModel(), 2000)
+	return obs
+}
+
 // BenchmarkViterbi measures single-chain decoding on a day of minutes.
 func BenchmarkViterbi(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := twoStateModel()
-	_, obs := sampleModel(rng, m, 1440)
+	m, obs := viterbiInput()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,8 +32,7 @@ func BenchmarkViterbi(b *testing.B) {
 
 // BenchmarkBaumWelchTrain measures EM training on 2000 samples.
 func BenchmarkBaumWelchTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	_, obs := sampleModel(rng, twoStateModel(), 2000)
+	obs := trainInput()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

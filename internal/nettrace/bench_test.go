@@ -11,13 +11,13 @@ import (
 // (t9 at the default seed 42): three days of the default home, coupled to
 // a simulated household's activity, with a camera exfiltrating, a plug
 // scanning and a bulb in a botnet from hour 30.
-func t9CompromisedConfig(b *testing.B) Config {
+func t9CompromisedConfig(tb testing.TB) Config {
 	const seed = 42
 	hcfg := home.DefaultConfig(seed + 21)
 	hcfg.Days = 3
 	tr, err := home.Simulate(hcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig(seed + 4)
 	cfg.Days = 3
@@ -44,13 +44,19 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
+// t9CompromisedCapture is t9CompromisedConfig's capture.
+func t9CompromisedCapture(tb testing.TB) *Capture {
+	cap, err := Simulate(t9CompromisedConfig(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cap
+}
+
 // BenchmarkExtractFeatures measures feature extraction over t9's
 // compromised capture, bucketed into the monitor's 10-minute windows.
 func BenchmarkExtractFeatures(b *testing.B) {
-	cap, err := Simulate(t9CompromisedConfig(b))
-	if err != nil {
-		b.Fatal(err)
-	}
+	cap := t9CompromisedCapture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

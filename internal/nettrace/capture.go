@@ -66,7 +66,8 @@ func (k CompromiseKind) String() string {
 type Compromise struct {
 	// Device is the victim device name.
 	Device string
-	// At is when the compromise activates.
+	// At is when the compromise activates: not before the capture's
+	// Start; at or after its end it emits no records.
 	At time.Time
 	// Kind selects the malicious behaviour.
 	Kind CompromiseKind
@@ -206,6 +207,9 @@ func generate(cfg Config) (*Capture, error) {
 		}
 		if cmp.Kind < CompromiseScan || cmp.Kind > CompromiseBot {
 			return nil, fmt.Errorf("%w: compromise kind %d", ErrBadConfig, cmp.Kind)
+		}
+		if cmp.At.Before(cfg.Start) {
+			return nil, fmt.Errorf("%w: compromise of %q at %v, before the capture starts", ErrBadConfig, cmp.Device, cmp.At)
 		}
 		if _, dup := compromised[cmp.Device]; dup {
 			return nil, fmt.Errorf("%w: device %q compromised twice", ErrBadConfig, cmp.Device)

@@ -102,16 +102,38 @@ func TestCompromiseInjection(t *testing.T) {
 	}
 }
 
+// Each compromise is rejected with ErrBadConfig. One scheduled before the
+// capture's Start would fill the capture with records from before its own
+// Start, and a zero At would size the record slab for ~292 years of
+// traffic.
 func TestCompromiseValidation(t *testing.T) {
-	cfg := DefaultConfig(5)
-	cfg.Compromises = []Compromise{{Device: "ghost-01", At: cfg.Start, Kind: CompromiseScan}}
-	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("unknown device error = %v", err)
+	start := DefaultConfig(5).Start
+	for _, c := range []struct {
+		name string
+		cmp  Compromise
+	}{
+		{"unknown device", Compromise{Device: "ghost-01", At: start, Kind: CompromiseScan}},
+		{"bad kind", Compromise{Device: "hub-01", At: start, Kind: 99}},
+		{"before start", Compromise{Device: "smart-plug-01", At: start.Add(-2 * time.Hour), Kind: CompromiseScan}},
+		{"zero time", Compromise{Device: "smart-plug-01", Kind: CompromiseScan}},
+	} {
+		cfg := DefaultConfig(5)
+		cfg.Days = 1
+		cfg.Compromises = []Compromise{c.cmp}
+		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: error = %v, want ErrBadConfig", c.name, err)
+		}
 	}
-	cfg = DefaultConfig(5)
-	cfg.Compromises = []Compromise{{Device: "hub-01", At: cfg.Start, Kind: 99}}
-	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("bad kind error = %v", err)
+}
+
+// A compromise at or after the capture's end is legal and adds no records.
+func TestCompromiseAtEnd(t *testing.T) {
+	cfg := DefaultConfig(5)
+	cfg.Days = 1
+	clean := simulate(t, cfg)
+	cfg.Compromises = []Compromise{{Device: "smart-plug-01", At: clean.End, Kind: CompromiseScan}}
+	if got := simulate(t, cfg); len(got.Records) != len(clean.Records) {
+		t.Errorf("compromise at End: %d records, want %d", len(got.Records), len(clean.Records))
 	}
 }
 

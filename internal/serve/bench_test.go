@@ -12,24 +12,33 @@ import (
 // simulation. Compare:
 //
 //	go test ./internal/serve -bench 'BenchmarkReportCache' -run '^$'
-func benchGet(b *testing.B, h http.Handler, path string) {
-	b.Helper()
+func benchGet(tb testing.TB, h http.Handler, path string) {
+	tb.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		b.Fatalf("GET %s = %d %s", path, rec.Code, rec.Body.String())
+		tb.Fatalf("GET %s = %d %s", path, rec.Code, rec.Body.String())
 	}
 }
 
+// hitPath is the report the cache-hit measurements request.
+const hitPath = "/v1/report/t6?quick=true&seed=1"
+
+// warmHandler returns the Handler of a server on the real DefaultRun
+// pipeline with hitPath already cached.
+func warmHandler(tb testing.TB) http.Handler {
+	h := New(Config{}).Handler()
+	benchGet(tb, h, hitPath) // prime the cache
+	return h
+}
+
 func BenchmarkReportCacheHit(b *testing.B) {
-	s := New(Config{}) // real DefaultRun pipeline
-	h := s.Handler()
-	benchGet(b, h, "/v1/report/t6?quick=true&seed=1") // prime the cache
+	h := warmHandler(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchGet(b, h, "/v1/report/t6?quick=true&seed=1")
+		benchGet(b, h, hitPath)
 	}
 }
 
