@@ -91,30 +91,26 @@ golden:
 
 # cover enforces the coverage gates: each package in COVER_PKGS must report
 # statement coverage >= COVER_FLOOR percent, and each in COVER_PKGS_CMD
-# >= COVER_FLOOR_CMD, or the target fails.
+# >= COVER_FLOOR_CMD, or the target fails. cover_gate is the one loop both
+# targets run: $(call cover_gate,<packages>,<floor>).
+define cover_gate
+@set -e; for pkg in $(1); do \
+	out=$$($(GO) test -count=1 -cover $$pkg); \
+	echo "$$out"; \
+	pct=$$(echo "$$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
+	if [ -z "$$pct" ]; then echo "cover: no coverage line for $$pkg"; exit 1; fi; \
+	ok=$$(awk -v p=$$pct -v f=$(2) 'BEGIN { print (p >= f) ? 1 : 0 }'); \
+	if [ "$$ok" != "1" ]; then \
+		echo "cover: $$pkg at $$pct% is below the $(2)% floor"; exit 1; \
+	fi; \
+done
+endef
+
 cover: cover-cmd
-	@set -e; for pkg in $(COVER_PKGS); do \
-		out=$$($(GO) test -count=1 -cover $$pkg); \
-		echo "$$out"; \
-		pct=$$(echo "$$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-		if [ -z "$$pct" ]; then echo "cover: no coverage line for $$pkg"; exit 1; fi; \
-		ok=$$(awk -v p=$$pct -v f=$(COVER_FLOOR) 'BEGIN { print (p >= f) ? 1 : 0 }'); \
-		if [ "$$ok" != "1" ]; then \
-			echo "cover: $$pkg at $$pct% is below the $(COVER_FLOOR)% floor"; exit 1; \
-		fi; \
-	done
+	$(call cover_gate,$(COVER_PKGS),$(COVER_FLOOR))
 
 cover-cmd:
-	@set -e; for pkg in $(COVER_PKGS_CMD); do \
-		out=$$($(GO) test -count=1 -cover $$pkg); \
-		echo "$$out"; \
-		pct=$$(echo "$$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-		if [ -z "$$pct" ]; then echo "cover: no coverage line for $$pkg"; exit 1; fi; \
-		ok=$$(awk -v p=$$pct -v f=$(COVER_FLOOR_CMD) 'BEGIN { print (p >= f) ? 1 : 0 }'); \
-		if [ "$$ok" != "1" ]; then \
-			echo "cover: $$pkg at $$pct% is below the $(COVER_FLOOR_CMD)% floor"; exit 1; \
-		fi; \
-	done
+	$(call cover_gate,$(COVER_PKGS_CMD),$(COVER_FLOOR_CMD))
 
 # fuzz runs five native fuzz targets, each for FUZZTIME: the two parsers
 # of untrusted input — the fleet mix parser (against the checked-in corpus

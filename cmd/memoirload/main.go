@@ -131,12 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // random drawing.
 func schedule(ids []string, seeds int, zipfS float64, quick bool, seed int64, rps float64, d time.Duration) []target {
 	rng := rand.New(rand.NewSource(seed))
-	population := make([]string, 0, len(ids)*seeds)
-	for _, id := range ids {
-		for s := 0; s < seeds; s++ {
-			population = append(population, fmt.Sprintf("/v1/report/%s?seed=%d&quick=%t", id, s, quick))
-		}
-	}
+	population := warmPaths(ids, seeds, quick)
 	// Shuffle so Zipf rank 0 (the hottest key) is not always ids[0]/seed 0.
 	rng.Shuffle(len(population), func(i, j int) { population[i], population[j] = population[j], population[i] })
 	zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(population)-1))
@@ -153,7 +148,8 @@ func schedule(ids []string, seeds int, zipfS float64, quick bool, seed int64, rp
 	return targets
 }
 
-// warmPaths enumerates every key in the population once, for -warm.
+// warmPaths enumerates every key in the population once, in id-major
+// order: the -warm pass and, before its shuffle, schedule's population.
 func warmPaths(ids []string, seeds int, quick bool) []string {
 	paths := make([]string, 0, len(ids)*seeds)
 	for _, id := range ids {

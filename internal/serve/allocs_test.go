@@ -11,7 +11,7 @@ import "testing"
 // counts of pooled scratch differ.
 func TestReportCacheHitAllocs(t *testing.T) {
 	h := warmHandler(t)
-	const ceiling = 34
+	const ceiling = 30
 	got := testing.AllocsPerRun(100, func() { benchGet(t, h, hitPath) })
 	if got > ceiling {
 		t.Errorf("cache hit: %v allocs per request, ceiling %d", got, ceiling)

@@ -107,22 +107,6 @@ func (c *Cache) Put(e *Entry) {
 	s.items[e.Key] = s.order.PushFront(&lruItem{key: e.Key, entry: e})
 }
 
-// Delete removes key from the cache, reporting whether it was present.
-// The serve layer uses it for fault-injected evictions; embedding daemons
-// can use it to invalidate an entry by hand.
-func (c *Cache) Delete(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return false
-	}
-	s.order.Remove(el)
-	delete(s.items, key)
-	return true
-}
-
 // Len returns the number of cached entries across all shards.
 func (c *Cache) Len() int {
 	var n int

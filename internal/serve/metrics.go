@@ -51,9 +51,6 @@ type Metrics struct {
 	// Panics counts generator panics contained by the server (each also
 	// counts as a GenerationError).
 	Panics atomic.Int64
-	// ForcedEvictions counts cache entries evicted by the injected
-	// EvictAfterPut fault (zero in production).
-	ForcedEvictions atomic.Int64
 	// NotFound counts requests naming unknown experiment ids (404s).
 	NotFound atomic.Int64
 	// WriteErrors counts response-body writes that failed, almost always a
@@ -99,7 +96,6 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		{"memoird_generation_errors_total", &m.GenerationErrors},
 		{"memoird_timeouts_total", &m.Timeouts},
 		{"memoird_generator_panics_total", &m.Panics},
-		{"memoird_forced_evictions_total", &m.ForcedEvictions},
 		{"memoird_not_found_total", &m.NotFound},
 		{"memoird_write_errors_total", &m.WriteErrors},
 		{"memoird_inflight", &m.InFlight},

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -80,10 +81,6 @@ type Config struct {
 	// SLO is the per-request latency objective; requests slower than it
 	// count in Metrics.SLOBreaches. Values <= 0 select 1s.
 	SLO time.Duration
-	// Faults, when non-nil, injects failures into the generation path.
-	// Production daemons leave it nil; chaos tests use it to prove the
-	// server degrades gracefully.
-	Faults *Faults
 }
 
 // Server is the memoird HTTP service. Create with New, mount via Handler.
@@ -100,7 +97,6 @@ type Server struct {
 	slo     time.Duration
 	metrics Metrics
 	known   map[string]bool
-	faults  *Faults
 }
 
 // New returns a Server ready to serve requests. When cfg.Store is set, the
@@ -133,7 +129,6 @@ func New(cfg Config) *Server {
 		timeout: cfg.Timeout,
 		slo:     cfg.SLO,
 		known:   make(map[string]bool),
-		faults:  cfg.Faults,
 	}
 	for _, id := range experiments.AllIDs() {
 		s.known[id] = true
@@ -198,26 +193,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := s.metrics.WriteText(w); err != nil {
+	err := s.metrics.WriteText(w)
+	if err == nil {
+		_, err = fmt.Fprintf(w, "memoird_cache_entries %d\n", s.cache.Len())
+	}
+	if err == nil && s.store != nil {
+		_, err = fmt.Fprintf(w, "memoird_store_entries %d\n", s.store.Len())
+	}
+	if err == nil && s.ring != nil {
+		err = s.ring.writePeerMetrics(w)
+	}
+	if err != nil {
 		// The scraper hung up mid-scrape; the truncated body is already
-		// unusable, so count the failure and stop writing.
+		// unusable, so count the failure once and stop writing.
 		s.metrics.WriteErrors.Add(1)
-		return
-	}
-	if _, err := fmt.Fprintf(w, "memoird_cache_entries %d\n", s.cache.Len()); err != nil {
-		s.metrics.WriteErrors.Add(1)
-		return
-	}
-	if s.store != nil {
-		if _, err := fmt.Fprintf(w, "memoird_store_entries %d\n", s.store.Len()); err != nil {
-			s.metrics.WriteErrors.Add(1)
-			return
-		}
-	}
-	if s.ring != nil {
-		if err := s.ring.writePeerMetrics(w); err != nil {
-			s.metrics.WriteErrors.Add(1)
-		}
 	}
 }
 
@@ -230,51 +219,63 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseReportOptions reads ?seed= and ?quick= into experiment Options,
-// matching the figures CLI defaults (seed 42, explicit). SeedSet is always
-// true in the result, so ?seed=0 means the literal seed 0 — the same
-// contract the suite route honors for an explicit "seed": 0 body field.
-func parseReportOptions(r *http.Request) (experiments.Options, error) {
-	opts := experiments.Options{Seed: 42, SeedSet: true}
-	q := r.URL.Query()
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return opts, fmt.Errorf("bad seed %q", v)
-		}
-		opts.Seed = seed
-	}
-	if v := q.Get("quick"); v != "" {
-		quick, err := strconv.ParseBool(v)
-		if err != nil {
-			return opts, fmt.Errorf("bad quick %q", v)
-		}
-		opts.Quick = quick
-	}
-	return opts, nil
+// defaultOptions are the figures CLI defaults every route starts from:
+// seed 42, explicit.
+func defaultOptions() experiments.Options {
+	return experiments.Options{Seed: 42, SeedSet: true}
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ReportRequests.Add(1)
+// parseReportQuery reads the query string once: ?seed= and ?quick= into
+// experiment Options, and ?format=json into asJSON. SeedSet is always true
+// in the result, so ?seed=0 means the literal seed 0 — the same contract
+// the suite route honors for an explicit "seed": 0 body field.
+func parseReportQuery(r *http.Request) (opts experiments.Options, asJSON bool, err error) {
+	opts = defaultOptions()
+	q := r.URL.Query()
+	if v := q.Get("seed"); v != "" {
+		if opts.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return opts, false, fmt.Errorf("bad seed %q", v)
+		}
+	}
+	if v := q.Get("quick"); v != "" {
+		if opts.Quick, err = strconv.ParseBool(v); err != nil {
+			return opts, false, fmt.Errorf("bad quick %q", v)
+		}
+	}
+	return opts, q.Get("format") == "json", nil
+}
+
+// resolve is the prologue of both report routes: an unknown id is a 404,
+// bad options a 400, and otherwise the entry comes from getOrGenerate
+// within the per-report budget. A nil entry means resolve has already
+// written the error response.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, allowForward bool) (e *Entry, source string, asJSON bool) {
 	id := r.PathValue("id")
 	if !s.known[id] {
 		s.metrics.NotFound.Add(1)
 		s.httpError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", id))
-		return
+		return nil, "", false
 	}
-	opts, err := parseReportOptions(r)
+	opts, asJSON, err := parseReportQuery(r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, "", false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	e, source, err := s.getOrGenerate(ctx, id, opts, forwardAllowed(r))
+	e, source, err = s.getOrGenerate(ctx, id, opts, allowForward)
 	if err != nil {
 		s.writeError(w, err)
-		return
+		return nil, "", false
 	}
-	s.writeEntry(w, r, e, source)
+	return e, source, asJSON
+}
+
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	s.metrics.ReportRequests.Add(1)
+	if e, source, asJSON := s.resolve(w, r, forwardAllowed(r)); e != nil {
+		s.writeEntry(w, e, source, asJSON)
+	}
 }
 
 // handleEntry is the peer-forwarding endpoint: it answers with the full
@@ -282,26 +283,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // forwarding node can serve either format byte-identically. It never
 // forwards — it IS the single allowed hop.
 func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.known[id] {
-		s.metrics.NotFound.Add(1)
-		s.httpError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", id))
-		return
+	if e, source, _ := s.resolve(w, r, false); e != nil {
+		w.Header().Set("X-Memoird-Cache", source)
+		s.writeJSON(w, http.StatusOK, entryEnvelope{Key: e.Key, Text: e.Text, JSON: e.JSON})
 	}
-	opts, err := parseReportOptions(r)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	e, source, err := s.getOrGenerate(ctx, id, opts, false)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("X-Memoird-Cache", source)
-	s.writeJSON(w, http.StatusOK, entryEnvelope{Key: e.Key, Text: e.Text, JSON: e.JSON})
 }
 
 // forwardAllowed reports whether this request may take its one peer hop:
@@ -352,7 +337,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	opts := experiments.Options{Seed: 42, SeedSet: true, Quick: req.Quick}
+	opts := defaultOptions()
+	opts.Quick = req.Quick
 	if req.Seed != nil {
 		opts.Seed = *req.Seed
 	}
@@ -449,19 +435,6 @@ func (s *Server) getOrGenerate(ctx context.Context, id string, opts experiments.
 			return nil, err
 		}
 		defer s.release()
-		if f := s.faults; f != nil {
-			if f.Stall != nil {
-				if !s.stallFor(f.Stall(id), ctx.Done()) {
-					return nil, ctx.Err()
-				}
-			}
-			if f.GenerateErr != nil {
-				if err := f.GenerateErr(id); err != nil {
-					s.metrics.GenerationErrors.Add(1)
-					return nil, err
-				}
-			}
-		}
 		s.metrics.Generations.Add(1)
 		rep, err := s.generate(ctx, id, opts)
 		if err != nil {
@@ -474,11 +447,6 @@ func (s *Server) getOrGenerate(ctx context.Context, id string, opts experiments.
 		}
 		s.cache.Put(e)
 		s.storePut(e)
-		if f := s.faults; f != nil && f.EvictAfterPut != nil && f.EvictAfterPut(key) {
-			if s.cache.Delete(key) {
-				s.metrics.ForcedEvictions.Add(1)
-			}
-		}
 		return e, nil
 	})
 	source := "miss"
@@ -546,8 +514,8 @@ func (s *Server) forward(ctx context.Context, owner, id string, opts experiments
 }
 
 // generate calls the RunFunc with panic containment: a panicking generator
-// (from a bad experiment, a substituted RunFunc, or the injected Panic
-// fault) becomes ErrGeneratorPanic instead of tearing down the daemon.
+// (a bad experiment or a substituted RunFunc) becomes ErrGeneratorPanic
+// instead of tearing down the daemon.
 // Panics contained downstream by experiments.RunContext arrive as
 // experiments.ErrPanic errors and are counted the same way.
 func (s *Server) generate(ctx context.Context, id string, opts experiments.Options) (rep *experiments.Report, err error) {
@@ -557,9 +525,6 @@ func (s *Server) generate(ctx context.Context, id string, opts experiments.Optio
 			rep, err = nil, fmt.Errorf("%w: %v", ErrGeneratorPanic, r)
 		}
 	}()
-	if f := s.faults; f != nil && f.Panic != nil && f.Panic(id) {
-		panic("injected generator panic")
-	}
 	rep, err = s.run(ctx, id, opts)
 	if err != nil && errors.Is(err, experiments.ErrPanic) {
 		s.metrics.Panics.Add(1)
@@ -586,9 +551,9 @@ func (s *Server) release() {
 // writeEntry serves a cached entry in the requested format, tagging the
 // response with how it was satisfied (hit, store, forwarded, miss,
 // coalesced).
-func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, e *Entry, source string) {
+func (s *Server) writeEntry(w http.ResponseWriter, e *Entry, source string, asJSON bool) {
 	w.Header().Set("X-Memoird-Cache", source)
-	if r.URL.Query().Get("format") == "json" {
+	if asJSON {
 		w.Header().Set("Content-Type", "application/json")
 		s.write(w, e.JSON)
 		return
@@ -620,13 +585,38 @@ func (s *Server) httpError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, map[string]any{"error": msg, "status": status})
 }
 
-// newEntry renders a report once into both served encodings.
+// newEntry renders a report once into both served encodings. JSON has no
+// number for ±Inf or NaN, so a report holding one encodes that metric as
+// the string the text form prints ("+Inf", "-Inf", "NaN"); a report whose
+// metrics are all finite encodes exactly as json.Marshal(rep).
 func newEntry(key string, rep *experiments.Report) (*Entry, error) {
 	js, err := json.Marshal(rep)
+	if errors.As(err, new(*json.UnsupportedValueError)) {
+		js, err = json.Marshal(spellMetrics(rep))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("encode report %s: %w", rep.ID, err)
 	}
 	return &Entry{Key: key, Text: []byte(rep.Render()), JSON: js}, nil
+}
+
+// spellMetrics returns rep in experiments.Report's JSON shape with the
+// metric values left open, so that a non-finite one can be a string.
+func spellMetrics(rep *experiments.Report) any {
+	m := make(map[string]any, len(rep.Metrics))
+	for k, v := range rep.Metrics {
+		m[k] = v
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			m[k] = fmt.Sprintf("%.4f", v) // Render's verb: "+Inf", "-Inf", "NaN"
+		}
+	}
+	return struct {
+		ID, Title string
+		Headers   []string
+		Rows      [][]string
+		Metrics   map[string]any
+		Notes     []string
+	}{rep.ID, rep.Title, rep.Headers, rep.Rows, m, rep.Notes}
 }
 
 // write sends b on the response body. A failed write means the client went

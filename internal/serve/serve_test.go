@@ -403,6 +403,54 @@ func TestServedReportMatchesRunAll(t *testing.T) {
 	}
 }
 
+// TestServesNonFiniteMetric requests t12 at quick scale and seed 42 on the
+// real DefaultRun pipeline, where no heatmap cell survives the k = 20
+// suppression and revealed_km_k_20 is +Inf. Both formats must serve 200,
+// and the JSON form spells the metric as the text form prints it.
+func TestServesNonFiniteMetric(t *testing.T) {
+	_, h := newTestServer(t, Config{}) // DefaultRun
+	const path = "/v1/report/t12?seed=42&quick=true"
+	text := get(t, h, path)
+	if text.Code != http.StatusOK {
+		t.Fatalf("text = %d %s", text.Code, text.Body.String())
+	}
+	if !strings.Contains(text.Body.String(), "revealed_km_k_20 = +Inf") {
+		t.Fatalf("t12 quick at seed 42 no longer has a non-finite metric:\n%s", text.Body.String())
+	}
+	js := get(t, h, path+"&format=json")
+	if js.Code != http.StatusOK {
+		t.Fatalf("json = %d %s", js.Code, js.Body.String())
+	}
+	var rep struct{ Metrics map[string]any }
+	if err := json.Unmarshal(js.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Metrics["revealed_km_k_20"]; got != "+Inf" {
+		t.Errorf("json revealed_km_k_20 = %v, want \"+Inf\"", got)
+	}
+}
+
+// TestSpellMetricsKeepsReportShape pins spellMetrics to Report's JSON
+// shape: on a report with every field set and finite metrics, it encodes
+// exactly as the report does, so a field added to Report fails here.
+func TestSpellMetricsKeepsReportShape(t *testing.T) {
+	rep := &experiments.Report{
+		ID: "t0", Title: "shape", Headers: []string{"a", "b"}, Rows: [][]string{{"1", "2"}},
+		Metrics: map[string]float64{"x": 1.5, "y": -2e-7, "z": 0}, Notes: []string{"n"},
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(spellMetrics(rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("spelled encoding differs:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestCacheLRUBound(t *testing.T) {
 	c := NewCache(numShards) // one entry per shard
 	var a, b string

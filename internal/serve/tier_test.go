@@ -76,21 +76,22 @@ func TestStoreHitWithoutWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &fakeRun{}
-	s, h := newTestServer(t, Config{Run: f.run, Store: st})
+	s, h := newTestServer(t, Config{Run: f.run, Store: st, CacheEntries: numShards})
 	if rec := get(t, h, "/v1/report/f2?seed=6"); rec.Code != http.StatusOK {
 		t.Fatalf("prime = %d", rec.Code)
 	}
-	// Evict from memory; disk still has it.
-	key := "f2|seed=6|quick=false"
-	if !s.cache.Delete(key) {
-		t.Fatalf("cache entry %q missing after prime", key)
+	// Evict from memory by LRU pressure: with one entry per shard, a report
+	// whose key shares the shard takes the slot. Disk still has both.
+	other := fmt.Sprintf("/v1/report/f2?seed=%d", sameShardSeed(s.cache, "f2", 6))
+	if rec := get(t, h, other); rec.Code != http.StatusOK {
+		t.Fatalf("evicting request = %d", rec.Code)
 	}
 	rec := get(t, h, "/v1/report/f2?seed=6")
 	if src := rec.Header().Get("X-Memoird-Cache"); src != "store" {
 		t.Errorf("evicted-entry source = %q, want store", src)
 	}
-	if n := f.invocations.Load(); n != 1 {
-		t.Errorf("store hit re-simulated: %d runs, want 1", n)
+	if n := f.invocations.Load(); n != 2 {
+		t.Errorf("store hit re-simulated: %d runs, want 2 (prime and evicting request)", n)
 	}
 	if s.Metrics().StoreHits.Load() != 1 {
 		t.Errorf("store hits = %d, want 1", s.Metrics().StoreHits.Load())
