@@ -14,8 +14,8 @@
 //
 // Analyzer scoping: detrand runs only on deterministic packages (the
 // simulators, attacks, defenses, experiments — not serve/cmd, where
-// wall-clock is legitimate); seedflow on the experiment, defense, fleet,
-// hmm, metrics, and invariant suites; errpath on serve and the cmd
+// wall-clock is legitimate); seedflow on the experiments, defense/stp,
+// fleet, hmm, metrics, and invariant packages; errpath on serve and the cmd
 // binaries; maporder, mutexscope, purecall, poolescape, atomicmix, and
 // floatorder everywhere. Explicit .go file arguments run every analyzer,
 // which is how scratch fixtures prove each one fires (see main_test.go).

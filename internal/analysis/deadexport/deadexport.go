@@ -14,8 +14,8 @@
 // module root package) aliases, which are public API, and a method whose
 // name and signature match a method of some interface in the program
 // (String, Import, ...). Struct fields are out of scope, because encoders
-// and reflection read them. internal/invariant/... and
-// internal/analysis/antest exist for tests and are exempt.
+// and reflection read them. internal/invariant and internal/analysis/antest
+// exist for tests and are exempt.
 package deadexport
 
 import (

@@ -32,23 +32,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// allowedConstructors are the math/rand package-level functions that do not
-// touch the global generator.
-var allowedConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
-}
-
-// forbiddenTimeFuncs are the wall-clock reads in package time.
-var forbiddenTimeFuncs = map[string]bool{
-	"Now":   true,
-	"Since": true,
-	"Until": true,
-}
-
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,23 +40,23 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil {
+			if !ok {
 				return true
 			}
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true // methods (e.g. (*rand.Rand).Intn) are fine
+			// The classifier is the effect summaries' own, so this
+			// per-package gate and the certifier agree on what is impure;
+			// env and filesystem reads are the certifier's alone.
+			e, _, impure := analysis.ImpureCall(fn)
+			if !impure {
+				return true
 			}
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-				if !allowedConstructors[fn.Name()] {
-					pass.Reportf(id.Pos(),
-						"use of global math/rand.%s: deterministic packages must draw from an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
-				}
-			case "time":
-				if forbiddenTimeFuncs[fn.Name()] {
-					pass.Reportf(id.Pos(),
-						"wall-clock time.%s in a deterministic package: derive instants from the simulated world's epoch, not from when the code runs", fn.Name())
-				}
+			switch e {
+			case analysis.EffectGlobalRand:
+				pass.Reportf(id.Pos(),
+					"use of global math/rand.%s: deterministic packages must draw from an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+			case analysis.EffectWallClock:
+				pass.Reportf(id.Pos(),
+					"wall-clock time.%s in a deterministic package: derive instants from the simulated world's epoch, not from when the code runs", fn.Name())
 			}
 			return true
 		})

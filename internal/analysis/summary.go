@@ -377,6 +377,54 @@ func ownSink(sum *Summary, e Effect) *Sink {
 	return best
 }
 
+// ImpureCall classifies fn, the function an identifier resolves to, against
+// the standard library's hidden impurity sources: a draw from the
+// process-global math/rand generator (any package-level math/rand or
+// math/rand/v2 function but the constructors), a wall-clock read
+// (time.Now, Since, Until), an environment read or a filesystem access
+// through package os. It returns the effect and the sink's description, or
+// false for any other function, methods included: draws from an explicitly
+// seeded *rand.Rand are fine. detrand reports the first two classes; the
+// effect summaries record all four.
+func ImpureCall(fn *types.Func) (Effect, string, bool) {
+	if fn.Pkg() == nil {
+		return 0, "", false
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return 0, "", false
+	}
+	name := fn.Name()
+	switch fn.Pkg().Path() {
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[name] {
+			return EffectGlobalRand, "global math/rand." + name, true
+		}
+	case "time":
+		switch name {
+		case "Now", "Since", "Until":
+			return EffectWallClock, "wall-clock time." + name, true
+		}
+	case "os":
+		if envFuncs[name] {
+			return EffectEnvRead, "environment read os." + name, true
+		}
+		if fsFuncs[name] {
+			return EffectFSRead, "filesystem access os." + name, true
+		}
+	}
+	return 0, "", false
+}
+
+// randConstructors are the math/rand package-level functions that do not
+// touch the global generator.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true, // math/rand/v2
+}
+
 // envFuncs are the package-os environment reads.
 var envFuncs = map[string]bool{
 	"Getenv": true, "LookupEnv": true, "Environ": true, "Hostname": true,
@@ -408,34 +456,15 @@ func collectSinks(node *Node, sup *suppressionSet) []Sink {
 		sinks = append(sinks, Sink{Effect: e, Pos: pos, Desc: desc})
 	}
 
-	// Known-impure standard-library calls (detrand's tables plus env/FS).
+	// Known-impure standard-library calls.
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		fn, ok := info.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return true // methods on explicitly seeded *rand.Rand etc. are fine
-		}
-		switch fn.Pkg().Path() {
-		case "math/rand", "math/rand/v2":
-			if !allowedConstructors[fn.Name()] {
-				add(EffectGlobalRand, id.Pos(), "global math/rand."+fn.Name())
-			}
-		case "time":
-			switch fn.Name() {
-			case "Now", "Since", "Until":
-				add(EffectWallClock, id.Pos(), "wall-clock time."+fn.Name())
-			}
-		case "os":
-			if envFuncs[fn.Name()] {
-				add(EffectEnvRead, id.Pos(), "environment read os."+fn.Name())
-			} else if fsFuncs[fn.Name()] {
-				add(EffectFSRead, id.Pos(), "filesystem access os."+fn.Name())
+		if fn, ok := info.Uses[id].(*types.Func); ok {
+			if e, desc, ok := ImpureCall(fn); ok {
+				add(e, id.Pos(), desc)
 			}
 		}
 		return true
@@ -455,16 +484,6 @@ func collectSinks(node *Node, sup *suppressionSet) []Sink {
 		return sinks[i].Effect < sinks[j].Effect
 	})
 	return sinks
-}
-
-// allowedConstructors mirrors detrand's: the math/rand package-level
-// functions that do not touch the global generator.
-var allowedConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
 }
 
 // collectGlobalWrites records assignments and ++/-- whose target is rooted

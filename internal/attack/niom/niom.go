@@ -133,7 +133,7 @@ func DetectThreshold(power *timeseries.Series, cfg Config) (*timeseries.Series, 
 
 	// The label pipeline (baseline, per-window rules, majority smoothing) is
 	// shared with the streaming detector: see thresholdLabels in stream.go.
-	labels := thresholdLabels(compactStats(ws, nil), cfg, &Scratch{})
+	labels := thresholdLabels(compactStats(ws), cfg, &Scratch{})
 	return expandLabels(power, cfg.Window, labels), nil
 }
 
@@ -167,7 +167,7 @@ func DetectHMM(power *timeseries.Series, cfg Config) (*timeseries.Series, error)
 	// Per-window activity evidence: the same physical criterion as the
 	// threshold detector, expressed as a noisy 0/1 observation (rawLabels is
 	// the shared pre-smoothing pipeline stage in stream.go).
-	evidence := rawLabels(compactStats(ws, nil), cfg, &Scratch{})
+	evidence := rawLabels(compactStats(ws), cfg, &Scratch{})
 	// A fixed sticky two-state chain decodes occupancy from the evidence:
 	// occupied periods emit evidence often but not always (reading, resting)
 	// while unoccupied periods emit it rarely (background coincidences).

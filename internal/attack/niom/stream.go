@@ -3,9 +3,9 @@ package niom
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
+	"privmem/internal/stats"
 	"privmem/internal/timeseries"
 )
 
@@ -45,42 +45,12 @@ func grow[T any](buf []T, n int) []T {
 // compactStats projects full window statistics down to the detector's compact
 // form. The copied fields are bit-identical to the originals, so a pipeline
 // run over the projection equals the historical full-stat computation.
-func compactStats(ws []timeseries.WindowStat, buf []WStat) []WStat {
-	out := grow(buf, len(ws))
+func compactStats(ws []timeseries.WindowStat) []WStat {
+	out := make([]WStat, len(ws))
 	for i, w := range ws {
 		out[i] = WStat{Mean: w.Mean, MaxAbsDiff: w.MaxAbsDiff}
 	}
 	return out
-}
-
-// quantileSorted replicates stats.Quantile bit for bit — same copy, same
-// sort.Float64s, same interpolation arithmetic — but sorts into a caller
-// buffer instead of allocating. The replication is load-bearing: the golden
-// equivalence tests require the streaming detector's baseline cut to equal
-// the batch detector's exactly, and two quantile implementations that differ
-// even in summation order would drift on ties.
-func quantileSorted(buf *[]float64, xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := grow(*buf, len(xs))
-	*buf = tmp
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	if q <= 0 {
-		return tmp[0]
-	}
-	if q >= 1 {
-		return tmp[len(tmp)-1]
-	}
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
 }
 
 // baselineMeanW estimates the background-appliance power floor as the mean of
@@ -93,7 +63,8 @@ func baselineMeanW(ws []WStat, quantile float64, sc *Scratch) float64 {
 	for i, w := range ws {
 		means[i] = w.Mean
 	}
-	cut := quantileSorted(&sc.sorted, means, quantile)
+	sc.sorted = grow(sc.sorted, len(means))
+	cut := stats.QuantileInto(sc.sorted, means, quantile)
 	var sum float64
 	var n int
 	for _, w := range ws {
@@ -187,8 +158,9 @@ const ModeThreshold Mode = 0
 // Two laws pin the stream to the batch detector, both enforced bit-exactly
 // by the golden tests:
 //
-//   - a Stream fed a series sample-by-sample emits exactly
-//     SlidingThreshold of that series, label for label;
+//   - a Stream fed a series sample-by-sample emits, at each window i,
+//     exactly the label the threshold pipeline gives window i over the
+//     trailing min(i+1, history) windows of the batch statistics;
 //   - with history >= the total window count, the final emitted label equals
 //     the final window's label from DetectThreshold (smoothing at the last
 //     window is one-sided in both, so the trailing view sees everything the
@@ -267,31 +239,4 @@ func (s *Stream) Push(v float64, sc *Scratch) (label float64, boundary bool) {
 	}
 	lbls := thresholdLabels(view, s.cfg, sc)
 	return lbls[len(lbls)-1], true
-}
-
-// SlidingThreshold is the batch counterpart of a Stream: for each full
-// window i of the series it runs the threshold pipeline over the trailing
-// min(i+1, history) windows and records the final label. Golden tests hold
-// a Stream to this, bit for bit.
-func SlidingThreshold(power *timeseries.Series, cfg Config, history int) ([]float64, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("niom sliding: %w", err)
-	}
-	if history < 1 {
-		return nil, fmt.Errorf("niom sliding: %w: history %d", ErrBadConfig, history)
-	}
-	cfg.Window = effectiveWindow(cfg.Window, power.Step)
-	ws, err := power.Windows(cfg.Window)
-	if err != nil {
-		return nil, fmt.Errorf("niom sliding: %w", err)
-	}
-	all := compactStats(ws, nil)
-	sc := &Scratch{}
-	out := make([]float64, len(ws))
-	for i := range all {
-		lbls := thresholdLabels(all[max(0, i+1-history):i+1], cfg, sc)
-		out[i] = lbls[len(lbls)-1]
-	}
-	return out, nil
 }

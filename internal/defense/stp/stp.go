@@ -201,8 +201,8 @@ func Pad(cap *nettrace.Capture, cfg Config) (*nettrace.Capture, *Report, error) 
 					Time:      epochStart.Add(off),
 					Device:    dev.Name,
 					Endpoint:  f.endpoint,
-					BytesUp:   jitterBytes(rng, f.up),
-					BytesDown: jitterBytes(rng, f.down),
+					BytesUp:   nettrace.JitterBytes(rng, f.up),
+					BytesDown: nettrace.JitterBytes(rng, f.down),
 				}
 				out.Records = append(out.Records, rec)
 				injectedBytes += float64(rec.BytesUp + rec.BytesDown)
@@ -246,14 +246,4 @@ func collectSignatures(byEpoch map[int][]sigFlow) []signature {
 		sigs = append(sigs, signature{flows: byEpoch[e]})
 	}
 	return sigs
-}
-
-// jitterBytes randomizes a byte volume by ±30%, mirroring the simulator's
-// event jitter so cover volumes sit in the same distribution as real ones.
-func jitterBytes(rng *rand.Rand, mean int) int {
-	if mean <= 0 {
-		return 0
-	}
-	f := 0.7 + 0.6*rng.Float64()
-	return int(float64(mean) * f)
 }

@@ -119,9 +119,11 @@ func figure1SeriesUncached(opts Options) ([]figure1Home, []string, error) {
 }
 
 // Figure1CSV renders the full 1-minute series of Figure 1 as CSV rows
-// (minute, powerA, occA, powerB, occB).
+// (minute, powerA, occA, powerB, occB). Like RunAll, it takes the base
+// options and derives f1's seed, so the series are the ones behind the f1
+// report rendered at the same options.
 func Figure1CSV(opts Options) ([]string, error) {
-	homes, _, err := figure1Series(opts)
+	homes, _, err := figure1Series(opts.ForExperiment("f1"))
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 // FleetStreaming (fl1) streams a heterogeneous home population through the
 // online attacks and reports each leakage signal's per-capita p50/p95/p99.
 // The fleet summary is a pure function of (seed, quick): bit-identical at
-// any worker count, which the invariant suite pins.
+// any worker count, which TestPropFleetDeterministic pins.
 func FleetStreaming(opts Options) (*Report, error) {
 	spec := fleet.DefaultSpec()
 	spec.Seed = seeds.SubSeed(opts.seed(), "fleet")

@@ -57,10 +57,10 @@ var worldMemo = &worldMemoState{
 // never cached. Always nil outside tests.
 var worldBuildErrHook func(key string) error
 
-// SetWorldMemo enables or disables world memoization, flushing all cached
-// worlds either way. The invariant suite toggles it to prove reports are
-// bit-identical with the memo on or off; it is on by default.
-func SetWorldMemo(enabled bool) {
+// setWorldMemo enables or disables world memoization, flushing all cached
+// worlds either way. Tests toggle it to prove reports are bit-identical
+// with the memo on or off; it is on by default.
+func setWorldMemo(enabled bool) {
 	worldMemo.mu.Lock()
 	defer worldMemo.mu.Unlock()
 	worldMemo.enabled = enabled
@@ -89,7 +89,7 @@ func worldBuildCount(key string) int {
 // rest wait on the same entry. Build errors propagate to every waiter but
 // leave no entry behind.
 //
-//lint:trust memoWorld mutex-guarded singleflight memo keyed on (builder, seed, quick); invariant.RunAllMemoTransparent proves reports are bit-identical with the memo on or off
+//lint:trust memoWorld mutex-guarded singleflight memo keyed on (builder, seed, quick); TestPropRunAllMemoTransparent proves reports are bit-identical with the memo off, cold and warm
 func memoWorld[T any](key string, build func() (T, error)) (T, error) {
 	m := worldMemo
 	m.mu.Lock()

@@ -23,14 +23,56 @@ func memoKeyForID(id string, opts Options) string {
 	return opts.ForExperiment(id).CacheKey(builder)
 }
 
+// TestPropRunAllMemoTransparent is the memo-transparency law: the world
+// memo is a pure cache, so RunAll renders the same bytes with the memo off,
+// on from cold, and on again with every world already cached (the pass
+// that would show a consumer mutating a shared world), at each worker
+// count. The cases are a cheap cross-section at the literal seed 0 and at
+// 42; the arms-race matrix has its own case (TestPropArmsRaceDeterministic).
+func TestPropRunAllMemoTransparent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memo transparency sweep is not short")
+	}
+	defer setWorldMemo(true)
+	for _, tc := range []struct {
+		ids     []string
+		seed    int64
+		workers []int
+	}{
+		{[]string{"f1", "t1", "t6"}, 0, []int{1, 3}},
+		{[]string{"f1", "t1", "t6"}, 42, []int{1, 3}},
+	} {
+		opts := Options{Seed: tc.seed, SeedSet: true, Quick: true}
+		for _, workers := range tc.workers {
+			setWorldMemo(false)
+			_, plain, err := renderAll(t, tc.ids, opts, workers)
+			if err != nil {
+				t.Fatalf("memo off, seed %d, %d workers: %v", tc.seed, workers, err)
+			}
+			setWorldMemo(true)
+			for _, pass := range []string{"cold", "warm"} {
+				_, memoized, err := renderAll(t, tc.ids, opts, workers)
+				if err != nil {
+					t.Fatalf("memo %s, seed %d, %d workers: %v", pass, tc.seed, workers, err)
+				}
+				for i, id := range tc.ids {
+					if memoized[i] != plain[i] {
+						t.Errorf("RunAll(%s, seed=%d, %d workers) differs with the memo %s vs off", id, tc.seed, workers, pass)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorldMemoBuildsOnceUnderConcurrentRunAll races several RunAll
 // invocations at mixed worker counts and checks each (seed, quick) world
 // was built exactly once — the singleflight guarantee — and that every
 // suite produced identical reports.
 func TestWorldMemoBuildsOnceUnderConcurrentRunAll(t *testing.T) {
-	SetWorldMemo(true) // flush any worlds cached by earlier tests
+	setWorldMemo(true) // flush any worlds cached by earlier tests
 	resetWorldMemoCounters()
-	defer SetWorldMemo(true)
+	defer setWorldMemo(true)
 
 	opts := Options{Quick: true, Seed: 42}
 	workerCounts := []int{1, 2, runtime.NumCPU() + 1}
@@ -74,9 +116,9 @@ func TestWorldMemoBuildsOnceUnderConcurrentRunAll(t *testing.T) {
 // TestWorldMemoSingleflightSharesOneWorld checks concurrent callers of one
 // builder share a single build and receive the same world.
 func TestWorldMemoSingleflightSharesOneWorld(t *testing.T) {
-	SetWorldMemo(true)
+	setWorldMemo(true)
 	resetWorldMemoCounters()
-	defer SetWorldMemo(true)
+	defer setWorldMemo(true)
 
 	opts := Options{Quick: true, Seed: 1234, SeedSet: true}
 	const callers = 8
@@ -112,11 +154,11 @@ func TestWorldMemoSingleflightSharesOneWorld(t *testing.T) {
 // concurrent caller observes the error, and (b) the failure is not cached:
 // the next call rebuilds and succeeds.
 func TestWorldMemoErrorNotCached(t *testing.T) {
-	SetWorldMemo(true)
+	setWorldMemo(true)
 	resetWorldMemoCounters()
 	defer func() {
 		worldBuildErrHook = nil
-		SetWorldMemo(true)
+		setWorldMemo(true)
 	}()
 
 	opts := Options{Quick: true, Seed: 99, SeedSet: true}
@@ -159,12 +201,12 @@ func TestWorldMemoErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestWorldMemoDisabledRebuilds checks SetWorldMemo(false) really disables
+// TestWorldMemoDisabledRebuilds checks setWorldMemo(false) really disables
 // caching: two calls build twice (and still agree).
 func TestWorldMemoDisabledRebuilds(t *testing.T) {
-	SetWorldMemo(false)
+	setWorldMemo(false)
 	resetWorldMemoCounters()
-	defer SetWorldMemo(true)
+	defer setWorldMemo(true)
 
 	opts := Options{Quick: true, Seed: 7, SeedSet: true}
 	w1, err := batteryWorld(opts)

@@ -51,7 +51,7 @@ func networkWorldUncached(opts Options) (lab, victim *nettrace.Capture, tr *home
 	// concurrently with the home → victim chain. Each simulation owns its
 	// seeded generator, so the split cannot perturb any random stream — the
 	// three captures are bit-identical to the sequential build (pinned by
-	// suite.RunAllDeterministic and the golden figures).
+	// TestRunAllDeterministicAcrossWorkers and the golden figures).
 	err = par.Do(func() (err error) {
 		hcfg := home.DefaultConfig(seed + 21)
 		hcfg.Days = days

@@ -50,48 +50,78 @@ func TestForExperimentDerivation(t *testing.T) {
 	}
 }
 
-// TestRunAllDeterministicAcrossWorkers runs the full registry at quick
-// scale with workers=1 (the sequential baseline), 2, and NumCPU, and
-// asserts the reports — structs and rendered bytes — are identical. Run
-// under -race (make check) this is also the suite's race-detector
-// coverage.
+// renderAll runs ids through RunAll at the given worker count and returns
+// the reports, their rendered bytes ("" for a failed slot) and the error.
+func renderAll(t *testing.T, ids []string, opts Options, workers int) ([]*Report, []string, error) {
+	t.Helper()
+	reports, err := RunAll(context.Background(), ids, opts, RunAllOptions{Workers: workers})
+	if len(reports) != len(ids) {
+		t.Fatalf("workers=%d: %d report slots for %d ids", workers, len(reports), len(ids))
+	}
+	bodies := make([]string, len(reports))
+	for i, rep := range reports {
+		if rep != nil {
+			bodies[i] = rep.Render()
+		}
+	}
+	return reports, bodies, err
+}
+
+// TestRunAllDeterministicAcrossWorkers is the suite-determinism law on the
+// full registry: at quick scale and seed 42, RunAll with workers=1 (the
+// sequential baseline), 2 and NumCPU renders identical reports — structs
+// and rendered bytes. Run under -race (make check) this is also the suite's
+// race-detector coverage.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry concurrency sweep")
 	}
-	ids := AllIDs()
-	opts := Options{Quick: true, Seed: 42}
+	checkRunAllDeterministic(t, AllIDs(), Options{Quick: true, Seed: 42}, []int{1, 2, runtime.NumCPU()})
+}
 
-	baseline, err := RunAll(context.Background(), ids, opts, RunAllOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestPropRunAllDeterministic is the same law at other seeds, on a cheap
+// cross-section (a figure generator, an attack table and the zk-billing
+// table): the literal seed 0, which must not fall back to the default, and
+// seed 1, each at 1, 2 and 5 workers.
+func TestPropRunAllDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite determinism sweep is not short")
 	}
-	for i, rep := range baseline {
-		if rep == nil {
-			t.Fatalf("baseline %s is nil", ids[i])
-		}
+	for _, seed := range []int64{0, 1} {
+		checkRunAllDeterministic(t, []string{"f1", "t1", "t6"}, Options{Quick: true, Seed: seed, SeedSet: true}, []int{1, 2, 5})
+	}
+}
+
+// checkRunAllDeterministic runs ids at each worker count and requires every
+// run to equal the first (workers[0] == 1, the sequential baseline), which
+// must in turn agree with a plain sequential Run of the first id.
+func checkRunAllDeterministic(t *testing.T, ids []string, opts Options, workers []int) {
+	t.Helper()
+	baseline, want, err := renderAll(t, ids, opts, workers[0])
+	if err != nil {
+		t.Fatalf("seed %d: %v", opts.Seed, err)
 	}
 	// The workers=1 pool must agree with a plain sequential Run over the
 	// same derived options (spot-checked on one id to keep the test cheap).
-	direct, err := Run("f1", opts.ForExperiment("f1"))
+	direct, err := Run(ids[0], opts.ForExperiment(ids[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := direct.Render(), baseline[0].Render(); got != want {
-		t.Errorf("RunAll(workers=1) f1 differs from sequential Run:\n%s\nvs\n%s", want, got)
+	if got := direct.Render(); got != want[0] {
+		t.Errorf("seed %d: RunAll(workers=1) %s differs from sequential Run:\n%s\nvs\n%s",
+			opts.Seed, ids[0], want[0], got)
 	}
-
-	for _, workers := range []int{2, runtime.NumCPU()} {
-		got, err := RunAll(context.Background(), ids, opts, RunAllOptions{Workers: workers})
+	for _, w := range workers[1:] {
+		got, bodies, err := renderAll(t, ids, opts, w)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("seed %d workers=%d: %v", opts.Seed, w, err)
 		}
-		for i := range ids {
+		for i, id := range ids {
 			if !reflect.DeepEqual(baseline[i], got[i]) {
-				t.Errorf("workers=%d: report %s differs from sequential baseline", workers, ids[i])
+				t.Errorf("seed %d workers=%d: report %s differs from sequential baseline", opts.Seed, w, id)
 			}
-			if baseline[i].Render() != got[i].Render() {
-				t.Errorf("workers=%d: rendered %s not byte-identical", workers, ids[i])
+			if bodies[i] != want[i] {
+				t.Errorf("seed %d workers=%d: rendered %s not byte-identical", opts.Seed, w, id)
 			}
 		}
 	}
@@ -113,6 +143,31 @@ func TestRunAllCollectsErrors(t *testing.T) {
 	}
 	if reports[1] == nil || reports[1].ID != "f1" {
 		t.Errorf("f1 should still run despite sibling failures: %+v", reports[1])
+	}
+}
+
+// TestPropRunAllDeterministicErrors is the determinism law's error half: a
+// suite containing an unknown id fails identically — same error text, same
+// partial reports — at 1 and 3 workers.
+func TestPropRunAllDeterministicErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite determinism sweep is not short")
+	}
+	ids := []string{"f1", "no-such-experiment", "t6"}
+	opts := Options{Seed: 7, SeedSet: true, Quick: true}
+	_, wantBodies, wantErr := renderAll(t, ids, opts, 1)
+	if !errors.Is(wantErr, ErrUnknown) {
+		t.Fatalf("workers=1: error = %v, want ErrUnknown", wantErr)
+	}
+	if wantBodies[0] == "" || wantBodies[1] != "" || wantBodies[2] == "" {
+		t.Fatalf("workers=1: want f1 and t6 rendered around the failed slot, got %q", wantBodies)
+	}
+	_, bodies, err := renderAll(t, ids, opts, 3)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("RunAll error differs: 1 worker -> %q, 3 workers -> %v", wantErr, err)
+	}
+	if !reflect.DeepEqual(bodies, wantBodies) {
+		t.Errorf("partial reports differ between 1 and 3 workers")
 	}
 }
 
@@ -189,13 +244,13 @@ func TestFanOutsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders thirteen experiments twice from cold worlds")
 	}
-	defer SetWorldMemo(true)
+	defer setWorldMemo(true)
 	ids := []string{"f1", "f2", "f5", "f6", "t1", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "a1"}
 	opts := Options{Quick: true, Seed: 42}
 	render := func(procs int) []string {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		SetWorldMemo(true)
+		setWorldMemo(true)
 		out := make([]string, len(ids))
 		for i, id := range ids {
 			rep, err := Run(id, opts.ForExperiment(id))

@@ -44,8 +44,8 @@ func solarFleetWorld(opts Options) (*solarFleetWorkload, error) {
 		// randomness only from its own seeded generator (seed+i) and reads
 		// the shared weather field and time grid, both read-only. Results
 		// land in indexed slots, so the assembled world is bit-identical to
-		// the old sequential loop (pinned by suite.RunAllDeterministic and
-		// the golden figures).
+		// the old sequential loop (pinned by
+		// TestRunAllDeterministicAcrossWorkers and the golden figures).
 		grid, err := solarsim.NewGrid(field.Start(), days, time.Minute)
 		if err != nil {
 			return nil, err

@@ -79,9 +79,10 @@ type ArchCount struct {
 }
 
 // Result is a fleet run's deterministic summary: a pure function of the
-// spec, bit-identical at every worker count (the suite law
-// FleetDeterministic). It deliberately contains no wall-clock or memory
-// figures — the CLI layer measures those around the call.
+// spec, bit-identical at every worker count (pinned by
+// TestRunDeterministicAcrossWorkers). It deliberately contains no
+// wall-clock or memory figures — the CLI layer measures those around the
+// call.
 type Result struct {
 	Homes, Workers, Days int
 	Variants             int

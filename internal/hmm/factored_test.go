@@ -122,7 +122,7 @@ func checkAgainstDense(t testing.TB, name string, p *factorialPrep, transT, obs 
 }
 
 // streamEnds returns where a StreamDecoder of the given window closes its
-// windows over n observations when Flush is called after index flushAt and
+// windows over n observations when flush is called after index flushAt and
 // at the end.
 func streamEnds(n, window, flushAt int) []int {
 	var ends []int
@@ -139,8 +139,8 @@ func streamEnds(n, window, flushAt int) []int {
 
 // checkFactorialAgainstDense pins f's factored decodes to the dense oracle:
 // Decode (paths, and its prep's final score) over all of obs, and the
-// StreamDecoder's Push/Flush output at windows 1, 3 and len(obs), each
-// with a Flush after the middle observation.
+// StreamDecoder's Push/flush output at windows 1, 3 and len(obs), each
+// with a flush after the middle observation.
 func checkFactorialAgainstDense(t *testing.T, name string, f *Factorial, obs []float64) {
 	t.Helper()
 	p, transT := f.prepTables(), denseTransT(f)

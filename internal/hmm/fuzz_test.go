@@ -59,7 +59,7 @@ func (r *fuzzReader) obs() float64 {
 // tie byte is odd, every observation an ordinary value or a NaN, ±Inf or
 // ±1e300) and requires the factored decodes to equal the dense oracle's
 // bit for bit: Decode's paths and final score and the StreamDecoder at
-// windows 1, 3 and len(obs) with a Flush mid-window.
+// windows 1, 3 and len(obs) with a flush mid-window.
 func FuzzFactorialDecode(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 40, 50, 60, 70, 80})
 	f.Add([]byte{3, 2, 1, 0, 2, 2, 3, 1, 9, 9, 3, 0, 3, 1, 1, 2, 3, 4, 30, 120, 251, 100, 90})

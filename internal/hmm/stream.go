@@ -108,10 +108,10 @@ func (d *StreamDecoder) Push(x float64) ([][]int, bool) {
 	return paths, true
 }
 
-// Flush emits the open partial window, if any. The decoder remains usable:
+// flush emits the open partial window, if any. The decoder remains usable:
 // subsequent observations start a new window seeded from the carried delta,
 // exactly as if the window had ended at the flush.
-func (d *StreamDecoder) Flush() ([][]int, bool) {
+func (d *StreamDecoder) flush() ([][]int, bool) {
 	if d.filled == 0 {
 		return nil, false
 	}

@@ -136,12 +136,12 @@ func streamDecode(t *testing.T, f *Factorial, obs []float64, window int, flushAt
 			emit(w)
 		}
 		if slices.Contains(flushAt, i) {
-			if w, ok := d.Flush(); ok {
+			if w, ok := d.flush(); ok {
 				emit(w)
 			}
 		}
 	}
-	if w, ok := d.Flush(); ok {
+	if w, ok := d.flush(); ok {
 		emit(w)
 	}
 	return got
@@ -171,7 +171,12 @@ func TestWindowedReferenceFullWindowEqualsDecode(t *testing.T) {
 // stream decoder fed one observation at a time emits exactly the naive
 // windowed decode at every boundary, including a trailing partial window,
 // on the three-chain model and on the two-chain analytic track at windows
-// 1, 16, 64 and the whole trace.
+// 1, 16, 64 and the whole trace. On the analytic track it also checks,
+// through the exported API alone, that the delta row carried across
+// boundaries is the exact forward score — each window's committed final
+// state is the final state of Decode over the prefix ending there — and
+// that flushing at every window boundary emits what pushing through full
+// windows does.
 func TestStreamDecoderMatchesDecodeWindowed(t *testing.T) {
 	check := func(name string, f *Factorial, obs []float64, window int) {
 		t.Helper()
@@ -190,6 +195,30 @@ func TestStreamDecoderMatchesDecodeWindowed(t *testing.T) {
 		f, obs := onlineFHMMModel(t, seed)
 		for _, window := range []int{1, 16, 64, len(obs)} {
 			check(fmt.Sprintf("two-chain seed %d", seed), f, obs, window)
+			got := streamDecode(t, f, obs, window)
+			var flushAt []int
+			for hi := window; ; hi += window {
+				hi = min(hi, len(obs))
+				prefix, err := f.Decode(obs[:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range got {
+					if got[c][hi-1] != prefix[c][hi-1] {
+						t.Fatalf("seed %d window %d: chain %d state at boundary %d: stream %d != Decode(prefix) %d",
+							seed, window, c, hi, got[c][hi-1], prefix[c][hi-1])
+					}
+				}
+				if hi == len(obs) {
+					break
+				}
+				flushAt = append(flushAt, hi-1)
+			}
+			// flush at the same boundaries, on a decoder whose own window
+			// never closes, must emit the pushed windows.
+			if flushed := streamDecode(t, f, obs, len(obs)+1, flushAt...); !pathsEqual(flushed, got) {
+				t.Fatalf("seed %d window %d: push != flush at the same boundaries", seed, window)
+			}
 		}
 	}
 }
@@ -215,7 +244,7 @@ func TestStreamDecoderRejectsBadWindow(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderFlushEmpty checks the empty-window edge: Flush emits
+// TestStreamDecoderFlushEmpty checks the empty-window edge: flush emits
 // nothing before the first observation and right after a window closes.
 func TestStreamDecoderFlushEmpty(t *testing.T) {
 	f, obs := streamTestModel(t, 1, 4)
@@ -223,13 +252,13 @@ func TestStreamDecoderFlushEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := d.Flush(); ok || w != nil {
-		t.Fatalf("Flush before any Push = %v, %v", w, ok)
+	if w, ok := d.flush(); ok || w != nil {
+		t.Fatalf("flush before any Push = %v, %v", w, ok)
 	}
 	for _, x := range obs {
 		d.Push(x)
 	}
-	if w, ok := d.Flush(); ok || w != nil {
-		t.Fatalf("Flush after a closed window = %v, %v", w, ok)
+	if w, ok := d.flush(); ok || w != nil {
+		t.Fatalf("flush after a closed window = %v, %v", w, ok)
 	}
 }

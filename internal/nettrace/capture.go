@@ -369,8 +369,8 @@ func simulateDevice(cap *Capture, dev Device, p Profile, cfg Config, rng *rand.R
 			Time:      t,
 			Device:    dev.Name,
 			Endpoint:  p.Endpoints[0],
-			BytesUp:   jitterBytes(rng, p.HeartbeatUp),
-			BytesDown: jitterBytes(rng, p.HeartbeatDown),
+			BytesUp:   JitterBytes(rng, p.HeartbeatUp),
+			BytesDown: JitterBytes(rng, p.HeartbeatDown),
 		})
 		period := float64(p.HeartbeatPeriod)
 		if p.HeartbeatJitter > 0 {
@@ -392,8 +392,8 @@ func simulateDevice(cap *Capture, dev Device, p Profile, cfg Config, rng *rand.R
 			Time:      tm.Add(time.Duration(rng.Intn(60)) * time.Second),
 			Device:    dev.Name,
 			Endpoint:  ep,
-			BytesUp:   jitterBytes(rng, p.EventUp),
-			BytesDown: jitterBytes(rng, p.EventDown),
+			BytesUp:   JitterBytes(rng, p.EventUp),
+			BytesDown: JitterBytes(rng, p.EventDown),
 		})
 	}
 }
@@ -443,8 +443,10 @@ func simulateCompromise(cap *Capture, dev Device, cmp Compromise, end time.Time,
 	}
 }
 
-// jitterBytes randomizes a byte volume by +/-30%.
-func jitterBytes(rng *rand.Rand, mean int) int {
+// JitterBytes randomizes a byte volume by ±30%: the simulator's event
+// jitter, which defenses that inject cover traffic also draw from so their
+// volumes sit in the same distribution as real ones.
+func JitterBytes(rng *rand.Rand, mean int) int {
 	if mean <= 0 {
 		return 0
 	}

@@ -51,10 +51,16 @@ func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty slice.
 func Quantile(xs []float64, q float64) float64 {
+	return QuantileInto(make([]float64, len(xs)), xs, q)
+}
+
+// QuantileInto is Quantile sorting its copy of xs in buf, which must hold
+// at least len(xs) values, so a caller that reuses buf allocates nothing.
+func QuantileInto(buf, xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	tmp := make([]float64, len(xs))
+	tmp := buf[:len(xs)]
 	copy(tmp, xs)
 	sort.Float64s(tmp)
 	if q <= 0 {

@@ -43,6 +43,17 @@ func TestQuantile(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
+	// A reused buffer longer than xs, holding stale values, changes
+	// nothing, and xs itself stays unsorted.
+	buf := []float64{9, 9, 9, 9, 9, 9}
+	for _, tt := range tests {
+		if got, want := QuantileInto(buf, xs, tt.q), Quantile(xs, tt.q); got != want {
+			t.Errorf("QuantileInto(%v) = %v, Quantile %v", tt.q, got, want)
+		}
+	}
+	if xs[0] != 3 {
+		t.Errorf("QuantileInto reordered its input: %v", xs)
+	}
 	if Quantile(nil, 0.5) != 0 {
 		t.Error("Quantile(nil) should be 0")
 	}

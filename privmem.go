@@ -481,9 +481,11 @@ func EvaluateOccupancyAllDay(truth, predicted *Series) (OccupancyEvaluation, err
 }
 
 // RunExperiment reproduces one of the paper's figures or tables by id
-// ("f1", "f2", "f5", "f6", "t1".."t10"); quick shrinks the workload.
+// ("f1", "f2", "f5", "f6", "t1".."t10"); quick shrinks the workload. It
+// runs at the id's derived seed, so the report is the one cmd/figures and
+// memoird render for that id at the default seed.
 func RunExperiment(id string, quick bool) (*ExperimentReport, error) {
-	return experiments.Run(id, experiments.Options{Quick: quick})
+	return experiments.Run(id, experiments.Options{Quick: quick}.ForExperiment(id))
 }
 
 // ExperimentIDs lists every reproducible artifact in presentation order.

@@ -1,6 +1,7 @@
 package privmem
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"privmem/internal/experiments"
 	"privmem/internal/loads"
 	"privmem/internal/nettrace"
 )
@@ -331,6 +333,16 @@ func TestRunExperimentRegistry(t *testing.T) {
 	}
 	if defended > orig/3 {
 		t.Errorf("f6 shape broken: %.3f -> %.3f", orig, defended)
+	}
+	// The facade renders the report the suite does for the same id: RunAll
+	// derives each id's seed, and so must RunExperiment.
+	suite, err := experiments.RunAll(context.Background(), []string{"f6"}, experiments.Options{Quick: true},
+		experiments.RunAllOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Render(), suite[0].Render(); got != want {
+		t.Errorf("RunExperiment(f6) differs from RunAll:\n%s\nvs\n%s", got, want)
 	}
 	if _, err := RunExperiment("nope", true); err == nil {
 		t.Error("unknown experiment should fail")
